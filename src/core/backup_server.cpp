@@ -55,7 +55,7 @@ BackupServer::BackupServer(std::size_t server_id,
 
   file_store_ = std::make_unique<FileStore>(config.filter_params,
                                             chunk_log_.get(), &nic_model_,
-                                            director);
+                                            director, server_id);
   // The index cache must agree with the index part on routing bits, and
   // the chunk store seals containers of the server's configured size.
   ChunkStoreConfig cs = config.chunk_store;
@@ -217,6 +217,7 @@ Result<Dedup2Result> BackupServer::run_dedup2(bool force_siu) {
     result.new_bytes = outcome.new_bytes;
   }
   chunk_store_->clear_log();
+  file_store_->commit_undetermined();
 
   if (force_siu || chunk_store_->siu_due()) {
     Result<SiuResult> siu = chunk_store_->siu();

@@ -126,7 +126,6 @@ class BackupServer {
   /// Adopt an externally built replica (elastic migration commit hands
   /// over replicas whose indexes the prepare stage already populated).
   void adopt_replica(std::unique_ptr<IndexPartReplica> replica);
-  void detach_replica(std::size_t part) { replicas_.erase(part); }
   void detach_all_replicas() noexcept { replicas_.clear(); }
   [[nodiscard]] bool has_part_replica(std::size_t part) const noexcept {
     return replicas_.contains(part);
@@ -137,16 +136,11 @@ class BackupServer {
   [[nodiscard]] const IndexPartReplica& part_replica(std::size_t part) const {
     return *replicas_.at(part);
   }
-  /// Legacy single-replica view (SPMD driver compatibility): the first
-  /// hosted replica part. Identity maps host exactly one per server.
-  [[nodiscard]] bool has_replica() const noexcept {
-    return !replicas_.empty();
-  }
-  [[nodiscard]] IndexPartReplica& replica() noexcept {
-    return *replicas_.begin()->second;
-  }
-  [[nodiscard]] const IndexPartReplica& replica() const noexcept {
-    return *replicas_.begin()->second;
+  /// The index serving `part` here: the primary ChunkStore's (via_store)
+  /// or the hosted replica's.
+  [[nodiscard]] index::DiskIndex& part_index(std::size_t part,
+                                             bool via_store) {
+    return via_store ? chunk_store_->index() : replicas_.at(part)->index();
   }
 
   // ---- Elastic repartitioning hooks (core/cluster split/drain) ----
@@ -166,6 +160,16 @@ class BackupServer {
   void rebase_chunk_store_index(index::DiskIndex idx) noexcept {
     config_.index_params.skip_bits = idx.params().skip_bits;
     chunk_store_->rebase_index(std::move(idx));
+  }
+
+  /// Install a rebuilt copy of `part` (a migration or maintenance commit):
+  /// rebase the primary index, or adopt it as the part's replica.
+  void install_copy(std::size_t part, bool via_store, index::DiskIndex idx) {
+    if (via_store) {
+      rebase_chunk_store_index(std::move(idx));
+    } else {
+      adopt_replica(make_replica(part, std::move(idx)));
+    }
   }
 
  private:

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
-#include <mutex>
-#include <unordered_set>
+#include <functional>
+#include <numeric>
 
 #include "common/fmt.hpp"
 #include "common/thread_pool.hpp"
-#include "core/cluster_node.hpp"
 #include "core/maintenance.hpp"
 #include "net/message.hpp"
 
@@ -26,12 +24,6 @@ double max_delta(const std::vector<double>& before,
   return m;
 }
 
-/// One failed exchange: `observer` could not reach (or hear from) `peer`.
-struct PeerFailure {
-  std::size_t observer;
-  std::size_t peer;
-};
-
 /// One rebuilt partition copy a migration's prepare stage produced: where
 /// it goes and the freshly loaded index the commit stage hands over.
 struct StagedCopy {
@@ -42,6 +34,15 @@ struct StagedCopy {
 };
 
 constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+/// The node that drives in-process maintenance exchanges, as node 0 does
+/// in debar_clusterd (maintenance preconditions keep every live slot
+/// reachable).
+std::size_t first_live_slot(const PartitionMap& map) {
+  std::size_t k = 0;
+  while (!map.is_live(k)) ++k;
+  return k;
+}
 
 }  // namespace
 
@@ -57,7 +58,6 @@ Cluster::Cluster(ClusterConfig config)
   config_.routing_bits = map_.routing_bits();
 
   const std::size_t n_slots = map_.server_slots();
-  const std::size_t m = map_.part_count();
   BackupServerConfig server_config = config_.server_config;
   server_config.index_params.skip_bits = map_.routing_bits();
   servers_.reserve(n_slots);
@@ -85,20 +85,14 @@ Cluster::Cluster(ClusterConfig config)
   for (std::size_t k = 0; k < n_slots; ++k) {
     if (!map_.is_live(k)) director_.retire_server(k);
   }
-  deferred_entries_.resize(n_slots);
-  catch_up_.assign(n_slots, std::vector<std::vector<IndexEntry>>(m));
 
   transport_ = config_.transport_factory
                    ? config_.transport_factory->create()
                    : std::make_unique<net::LoopbackTransport>();
-  for (std::size_t k = 0; k < n_slots; ++k) {
-    const auto id = static_cast<net::EndpointId>(k);
-    Status registered = transport_->register_endpoint(id, &servers_[k]->nic());
-    assert(registered.ok());
-    (void)registered;
-    servers_[k]->attach_endpoint(
-        std::make_unique<net::Endpoint>(transport_.get(), id, config_.retry,
-                                        config_.wire_codec));
+  for (auto& server : servers_) {
+    Status connected = connect(*server);
+    assert(connected.ok());
+    (void)connected;
   }
   // The restore-stream client: no modeled NIC of its own (the serving
   // server's wire is the bottleneck the paper measures).
@@ -109,12 +103,34 @@ Cluster::Cluster(ClusterConfig config)
                                                      client_id(),
                                                      config_.retry,
                                                      config_.wire_codec);
+  rebuild_nodes();
+}
+
+Status Cluster::connect(BackupServer& server) {
+  const auto id = static_cast<net::EndpointId>(server.server_id());
+  if (Status registered = transport_->register_endpoint(id, &server.nic());
+      !registered.ok()) {
+    return registered;
+  }
+  server.attach_endpoint(std::make_unique<net::Endpoint>(
+      transport_.get(), id, config_.retry, config_.wire_codec));
+  return Status::Ok();
+}
+
+void Cluster::rebuild_nodes() {
+  nodes_.clear();
+  for (std::size_t k = 0; k < servers_.size(); ++k) {
+    nodes_.push_back(std::make_unique<ClusterNode>(
+        ClusterNodeConfig{.node = k,
+                          .map = map_,
+                          .round_timeout = config_.retry.receive_timeout},
+        servers_[k].get()));
+  }
 }
 
 Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
   const std::size_t n = servers_.size();
   const std::size_t m = map_.part_count();
-  const bool replicated = map_.replicated();
   ClusterDedup2Result result;
 
   auto phase = [&](const char* tag) {
@@ -123,599 +139,231 @@ Result<ClusterDedup2Result> Cluster::run_dedup2(bool force_siu) {
   auto reachable = [&](std::size_t k) {
     return transport_->reachable(static_cast<net::EndpointId>(k));
   };
-
-  auto nic_clocks = [&] {
+  auto clocks = [&](double ServerClocks::*device) {
     std::vector<double> v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = servers_[i]->clocks().nic;
-    return v;
-  };
-  auto index_clocks = [&] {
-    std::vector<double> v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = servers_[i]->clocks().index_disk;
-    return v;
-  };
-  auto log_clocks = [&] {
-    std::vector<double> v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = servers_[i]->clocks().log_disk;
+    for (std::size_t i = 0; i < n; ++i) v[i] = servers_[i]->clocks().*device;
     return v;
   };
 
-  std::mutex failure_mutex;
-  std::vector<PeerFailure> failures;
-  auto note_failure = [&](std::size_t observer, std::size_t peer) {
-    std::lock_guard lock(failure_mutex);
-    failures.push_back({observer, peer});
-  };
-  // Distill the phase's failure records into the peers to blame. A dead
-  // observer's complaints about healthy peers are noise (its own sends
-  // fail too); keep only complaints whose peer the transport also doubts,
-  // or complaints from observers the transport still trusts.
-  auto blamed_peers = [&] {
-    std::lock_guard lock(failure_mutex);
-    std::vector<std::size_t> bad;
-    for (const PeerFailure& f : failures) {
-      const bool observer_dead =
-          !transport_->reachable(static_cast<net::EndpointId>(f.observer));
-      const bool peer_dead =
-          !transport_->reachable(static_cast<net::EndpointId>(f.peer));
-      if (observer_dead && !peer_dead) continue;
-      bad.push_back(f.peer);
-    }
-    failures.clear();
-    std::sort(bad.begin(), bad.end());
-    bad.erase(std::unique(bad.begin(), bad.end()), bad.end());
-    return bad;
-  };
-  auto degrade = [&](const std::vector<std::size_t>& bad, const char* tag) {
-    for (const std::size_t p : bad) director_.mark_unreachable(p);
-    return Error{Errc::kUnavailable,
-                 format("cluster dedup-2 aborted in phase {}: {} peer(s) "
-                        "unreachable",
-                        tag, bad.size())};
-  };
-  // Per-server phase outcome (set by worker lambdas; checked at barriers).
-  std::vector<Status> phase_status(n);
-  auto check_phase_status = [&]() -> Status {
-    for (const Status& s : phase_status) {
+  // Round membership: alive[k] starts from the map (drained slots never
+  // participate) and flips when the transport proves server k dark during
+  // this round; host[p] moves when phase A fails partition p over.
+  RoundView view = nodes_.front()->static_view();
+  // Run one step on every participating node concurrently; the first
+  // failure wins.
+  std::vector<Status> step_status(n);
+  auto run = [&](const std::function<Status(ClusterNode&)>& step) {
+    parallel_for(n, n, [&](std::size_t k) {
+      step_status[k] = view.alive[k] ? step(*nodes_[k]) : Status::Ok();
+    });
+    for (const Status& s : step_status) {
       if (!s.ok()) return s;
     }
     return Status::Ok();
   };
-  // Receive-side epoch validation: a batch minted against a different map
-  // must never be folded into this round (DESIGN.md §5j epoch rules).
-  auto epoch_ok = [&](std::uint32_t got, std::size_t receiver,
-                      std::size_t sender) {
-    if (got == map_.epoch()) return true;
-    phase_status[receiver] = Status(
-        Errc::kInvalidArgument,
-        format("epoch mismatch: server {} sent epoch {}, map is at {}",
-               sender, got, map_.epoch()));
-    return false;
+  // Distill the peers each node could not reach or hear from into blame.
+  // A dead observer's complaints about healthy peers are noise (its own
+  // sends fail too); keep only complaints whose peer the transport also
+  // doubts, or complaints from observers the transport still trusts.
+  auto blamed_peers = [&] {
+    std::vector<std::size_t> bad;
+    for (std::size_t k = 0; k < n; ++k) {
+      for (const std::size_t peer : nodes_[k]->take_unheard()) {
+        if (!reachable(k) && reachable(peer)) continue;
+        bad.push_back(peer);
+      }
+    }
+    std::sort(bad.begin(), bad.end());
+    bad.erase(std::unique(bad.begin(), bad.end()), bad.end());
+    return bad;
+  };
+  // Drop a server the transport proved dark: its own round aborts, and
+  // everything it contributed is forgotten everywhere — a dead origin must
+  // never become a designated storer, and a copy that never heard from it
+  // must match the copies that did.
+  auto exclude = [&](std::size_t b) {
+    if (!view.alive[b]) return;
+    view.alive[b] = false;
+    result.skipped_servers.push_back(b);
+    director_.mark_unreachable(b);
+    nodes_[b]->abort_round();
+    for (auto& node : nodes_) node->forget_origin(b);
+  };
+  // All-or-nothing abort: each participating node takes its own abort
+  // path, and nothing is registered anywhere.
+  auto abort = [&](const Status& s) {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (view.alive[k]) nodes_[k]->abort_round();
+    }
+    return Error{s.code(), s.message()};
+  };
+  auto degrade = [&](const std::vector<std::size_t>& bad, const char* tag) {
+    for (const std::size_t p : bad) director_.mark_unreachable(p);
+    return abort(Status(Errc::kUnavailable,
+                        format("cluster dedup-2 aborted in phase {}: {} "
+                               "peer(s) unreachable",
+                               tag, bad.size())));
+  };
+  // A counter summed over the nodes taking part.
+  auto total = [&](std::uint64_t NodeRoundResult::*counter) {
+    std::uint64_t sum = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (view.alive[k]) sum += nodes_[k]->round_result().*counter;
+    }
+    return sum;
+  };
+  auto both_copies_dark = [&](std::size_t p) {
+    return !view.alive[map_.copy(p, 0).server] &&
+           !view.alive[map_.copy(p, 1).server];
   };
 
-  // Round-boundary health probe (mark_unreachable used to be permanent):
-  // servers the transport reaches again rejoin assignment, and any
-  // entries their index copies missed during degraded commits are
-  // re-delivered before the next exchange starts.
+  // Round-boundary health probe: servers the transport reaches again
+  // rejoin assignment, and entries their index copies missed during
+  // degraded commits are re-delivered before the next exchange starts.
   director_.probe_reachability(n, reachable);
   deliver_catch_up();
 
-  // Round membership: alive[k] starts from the map (drained slots never
-  // participate) and flips when the transport proves server k dark during
-  // this round. host[p] is the copy INDEX serving partition p's PSIL —
-  // the preferred copy until phase-A failover moves it to the other one.
-  std::vector<bool> alive(n);
-  for (std::size_t k = 0; k < n; ++k) alive[k] = map_.is_live(k);
-  std::vector<std::size_t> host(m, 0);
-  auto serve = [&](std::size_t p) { return map_.copy(p, host[p]).server; };
-  auto hosted_parts = [&](std::size_t t) { return map_.parts_hosted_by(t); };
-
-  // ---- Phase A: take undetermined sets and exchange by routing prefix.
-  // outbox[from][part]: the fingerprint subsets in flight; an empty batch
-  // still ships, so every pair exchanges one message per phase.
-  phase("A");
-  std::vector<std::vector<std::vector<Fingerprint>>> outbox(
-      n, std::vector<std::vector<Fingerprint>>(m));
-  std::vector<std::vector<Fingerprint>> local_undetermined(n);
-  // Re-drain on abort: a round that never reached chunk storing puts the
-  // fingerprints back so the next round resolves them.
-  auto restore_undetermined = [&] {
-    parallel_for(n, n, [&](std::size_t s) {
-      servers_[s]->file_store().restore_undetermined(
-          std::move(local_undetermined[s]));
-      local_undetermined[s].clear();
-    });
-  };
-
-  // part_inbox[part][origin]: what the part's current host has collected.
-  std::vector<std::vector<net::FingerprintBatch>> part_inbox(
-      m, std::vector<net::FingerprintBatch>(n));
-  // Exclude a server the transport proved dark: restore its undetermined
-  // set for a later round, and drop everything it contributed — its
-  // queries must not be answered (a dead origin must never become a
-  // designated storer, or the chunk would be stored nowhere reachable).
-  auto exclude_server = [&](std::size_t b) {
-    if (!alive[b]) return;
-    alive[b] = false;
-    result.skipped_servers.push_back(b);
-    director_.mark_unreachable(b);
-    servers_[b]->file_store().restore_undetermined(
-        std::move(local_undetermined[b]));
-    local_undetermined[b].clear();
-    for (std::size_t p = 0; p < m; ++p) {
-      outbox[b][p].clear();
-      part_inbox[p][b] = net::FingerprintBatch{};
-    }
-  };
-
-  const std::vector<double> nic_a0 = nic_clocks();
-  parallel_for(n, n, [&](std::size_t s) {
-    if (!alive[s]) return;
-    std::vector<Fingerprint> fps =
-        servers_[s]->file_store().take_undetermined();
-    for (const Fingerprint& fp : fps) outbox[s][owner_of(fp)].push_back(fp);
-    local_undetermined[s] = std::move(fps);
-  });
-
-  // Failover-aware exchange: ship every wanted part to its current host,
-  // blame the peers the transport proves dark, re-host their partitions
-  // on the surviving copy, and re-run the delta. Each iteration either
+  // ---- Phase A: drain undetermined sets and exchange by routing prefix.
+  // Failover-aware: ship every wanted part to its current host, blame the
+  // peers the transport proves dark, re-host their partitions on the
+  // surviving copy, and re-run the delta. Each iteration either
   // completes, aborts (some partition lost both copies), or buries at
   // least one server — so the loop runs at most n times.
+  phase("A");
+  const std::vector<double> nic_a0 = clocks(&ServerClocks::nic);
+  (void)run([](ClusterNode& node) {
+    node.begin_round();
+    return Status::Ok();
+  });
   std::vector<std::size_t> wanted(m);
-  for (std::size_t p = 0; p < m; ++p) wanted[p] = p;
+  std::iota(wanted.begin(), wanted.end(), std::size_t{0});
+  Status received = Status::Ok();
   while (!wanted.empty()) {
-    parallel_for(n, n, [&](std::size_t s) {
-      if (!alive[s]) return;
-      // Buffered sends + per-destination flush: with coalescing on, all
-      // parts hosted by one peer leave as a single jumbo frame, in the
-      // same ascending-part order the receive barrier expects.
-      for (const std::size_t p : wanted) {
-        const std::size_t k = serve(p);
-        if (k == s) continue;
-        Status sent = servers_[s]->endpoint().send_buffered(
-            static_cast<net::EndpointId>(k),
-            net::FingerprintBatch{outbox[s][p], map_.epoch()});
-        if (!sent.ok()) note_failure(s, k);
-      }
-      for (const std::size_t p : wanted) {
-        const std::size_t k = serve(p);
-        if (k == s) continue;
-        Status flushed =
-            servers_[s]->endpoint().flush(static_cast<net::EndpointId>(k));
-        if (!flushed.ok()) note_failure(s, k);
-      }
-    });
-    // Receive barrier: each part's host collects one batch per origin
-    // (its own subset never crosses the wire).
-    parallel_for(n, n, [&](std::size_t k) {
-      if (!alive[k]) return;
-      for (const std::size_t p : wanted) {
-        if (serve(p) != k) continue;
-        part_inbox[p][k].fps = outbox[k][p];
-        for (std::size_t s = 0; s < n; ++s) {
-          if (s == k || !alive[s]) continue;
-          Result<net::FingerprintBatch> batch =
-              servers_[k]->endpoint().expect<net::FingerprintBatch>(
-                  static_cast<net::EndpointId>(s));
-          if (!batch.ok()) {
-            note_failure(k, s);
-            continue;
-          }
-          if (!epoch_ok(batch.value().epoch, k, s)) continue;
-          part_inbox[p][s] = std::move(batch.value());
-        }
-      }
-    });
+    (void)run([&](auto& node) { return node.send_queries(view, wanted); });
+    if (Status s = run([&](ClusterNode& node) {
+          return node.receive_queries(view, wanted);
+        });
+        !s.ok() && received.ok()) {
+      received = s;
+    }
     const std::vector<std::size_t> bad = blamed_peers();
     if (bad.empty()) break;
-    for (const std::size_t b : bad) exclude_server(b);
+    for (const std::size_t b : bad) exclude(b);
     std::vector<std::size_t> rerun;
     for (std::size_t p = 0; p < m; ++p) {
-      if (alive[serve(p)]) continue;
-      const std::size_t other_host = 1 - host[p];
-      const std::size_t other = map_.copy(p, other_host).server;
-      if (!replicated || !alive[other]) {
-        // Both copies of partition p are dark: all-or-nothing abort,
-        // exactly as an unreplicated round.
-        restore_undetermined();
-        return degrade(bad, "A");
-      }
-      host[p] = other_host;
+      if (view.alive[map_.copy(p, view.host[p]).server]) continue;
+      // Both copies of partition p are dark (in an unreplicated map its
+      // one copy is both): all-or-nothing abort.
+      if (both_copies_dark(p)) return degrade(bad, "A");
+      view.host[p] = 1 - view.host[p];
       ++result.failovers;
       rerun.push_back(p);
     }
     wanted = std::move(rerun);
   }
-  if (Status s = check_phase_status(); !s.ok()) {
-    restore_undetermined();
-    return Error{s.code(), s.message()};
-  }
-  for (const auto& fps : local_undetermined) result.undetermined += fps.size();
+  if (!received.ok()) return abort(received);
+  result.undetermined = total(&NodeRoundResult::undetermined);
 
   // ---- Phase B: PSIL on every partition's current host, concurrently.
-  // Verdicts are positions into each origin's batch; origin batches are
-  // sorted (take_undetermined sorts), so walking unique fingerprints in
-  // order yields strictly ascending positions per origin — exactly what
-  // VerdictBatch's delta encoding wants.
   phase("B");
-  // verdict_out[part][origin], produced by the part's host.
-  std::vector<std::vector<net::VerdictBatch>> verdict_out(
-      m, std::vector<net::VerdictBatch>(n));
-  std::atomic<std::uint64_t> dup_count{0};
-
-  const std::vector<double> idx_b0 = index_clocks();
-  parallel_for(n, n, [&](std::size_t k) {
-    if (!alive[k]) return;
-    for (std::size_t p = 0; p < m; ++p) {
-      if (serve(p) != k) continue;
-      // The designated-storer resolution is shared with the SPMD per-node
-      // driver (core/cluster_node.hpp), so both executions of a round
-      // issue identical verdicts. The serving copy may be this server's
-      // own chunk store or a hosted replica — the map says which.
-      std::uint64_t dups = 0;
-      const bool via_store = map_.copy(p, host[p]).via_store;
-      PartSilFn lookup =
-          via_store ? PartSilFn([&, k](const std::vector<Fingerprint>& fps,
-                                       std::vector<std::uint8_t>& found) {
-            return servers_[k]->chunk_store().sil(fps, found);
-          })
-                    : PartSilFn([&, k, p](const std::vector<Fingerprint>& fps,
-                                          std::vector<std::uint8_t>& found) {
-                        return servers_[k]->part_replica(p).sil(fps, found);
-                      });
-      Result<std::vector<net::VerdictBatch>> verdicts =
-          resolve_psil(lookup, part_inbox[p], &dups);
-      if (!verdicts.ok()) {
-        phase_status[k] = Status(verdicts.error().code,
-                                 verdicts.error().message);
-        return;
-      }
-      verdict_out[p] = std::move(verdicts.value());
-      dup_count.fetch_add(dups, std::memory_order_relaxed);
-    }
-  });
-  if (Status s = check_phase_status(); !s.ok()) {
-    restore_undetermined();
-    return Error{s.code(), s.message()};
+  const std::vector<double> idx_b0 = clocks(&ServerClocks::index_disk);
+  if (Status s = run([&](ClusterNode& node) { return node.run_psil(view); });
+      !s.ok()) {
+    return abort(s);
   }
-  result.duplicates = dup_count.load();
-  result.sil_seconds = max_delta(idx_b0, index_clocks());
+  result.duplicates = total(&NodeRoundResult::duplicates);
+  result.sil_seconds = max_delta(idx_b0, clocks(&ServerClocks::index_disk));
 
   // ---- Phase C: results return to their origins (network only). A peer
   // that dies here aborts the whole round, replicas or not: its queries
   // are already folded into completed PSIL verdicts, so excising it
   // mid-round could leave a designated storer that never stores.
   phase("C");
-  parallel_for(n, n, [&](std::size_t k) {
-    if (!alive[k]) return;
-    for (std::size_t p = 0; p < m; ++p) {
-      if (serve(p) != k) continue;
-      for (std::size_t s = 0; s < n; ++s) {
-        if (s == k || !alive[s]) continue;
-        Status sent = servers_[k]->endpoint().send_buffered(
-            static_cast<net::EndpointId>(s), verdict_out[p][s]);
-        if (!sent.ok()) note_failure(k, s);
-      }
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s == k || !alive[s]) continue;
-      Status flushed =
-          servers_[k]->endpoint().flush(static_cast<net::EndpointId>(s));
-      if (!flushed.ok()) note_failure(k, s);
-    }
-  });
-  // verdict_inbox[origin][part].
-  std::vector<std::vector<net::VerdictBatch>> verdict_inbox(
-      n, std::vector<net::VerdictBatch>(m));
-  parallel_for(n, n, [&](std::size_t s) {
-    if (!alive[s]) return;
-    for (std::size_t p = 0; p < m; ++p) {
-      const std::size_t k = serve(p);
-      if (k == s) {
-        verdict_inbox[s][p] = std::move(verdict_out[p][s]);
-        continue;
-      }
-      Result<net::VerdictBatch> verdict =
-          servers_[s]->endpoint().expect<net::VerdictBatch>(
-              static_cast<net::EndpointId>(k));
-      if (!verdict.ok()) {
-        note_failure(s, k);
-        continue;
-      }
-      if (verdict.value().query_count != outbox[s][p].size()) {
-        phase_status[s] =
-            Status(Errc::kCorrupt,
-                   format("verdict from {} answers {} queries, {} were asked",
-                          k, verdict.value().query_count, outbox[s][p].size()));
-        continue;
-      }
-      verdict_inbox[s][p] = std::move(verdict.value());
-    }
-  });
+  (void)run([&](auto& node) { return node.send_verdicts(view); });
+  received = run([&](auto& node) { return node.receive_verdicts(view); });
   if (std::vector<std::size_t> bad = blamed_peers(); !bad.empty()) {
-    restore_undetermined();
     return degrade(bad, "C");
   }
-  if (Status s = check_phase_status(); !s.ok()) {
-    restore_undetermined();
-    return Error{s.code(), s.message()};
-  }
-  result.exchange_seconds = max_delta(nic_a0, nic_clocks());
+  if (!received.ok()) return abort(received);
+  result.exchange_seconds = max_delta(nic_a0, clocks(&ServerClocks::nic));
 
-  // ---- Phase D: parallel chunk storing on every origin.
+  // ---- Phase D: parallel chunk storing on every origin. A failed store
+  // aborts the round: origins that already containered defer their
+  // entries, the failed one keeps its log and re-drains next round.
   phase("D");
-  std::vector<std::vector<std::vector<IndexEntry>>> entry_out(
-      n, std::vector<std::vector<IndexEntry>>(m));
-  std::atomic<std::uint64_t> new_chunks{0};
-  std::atomic<std::uint64_t> new_bytes{0};
-
-  const std::vector<double> log_d0 = log_clocks();
+  const std::vector<double> log_d0 = clocks(&ServerClocks::log_disk);
   const double repo_d0 = repository_.max_node_seconds();
-  parallel_for(n, n, [&](std::size_t s) {
-    if (!alive[s]) return;
-    std::unordered_set<Fingerprint, FingerprintHash> dups;
-    for (std::size_t p = 0; p < m; ++p) {
-      // Verdict indices are validated against query_count at decode and
-      // above, so they index outbox[s][p] safely.
-      for (const std::uint32_t idx : verdict_inbox[s][p].duplicate_indices) {
-        dups.insert(outbox[s][p][idx]);
-      }
-    }
-    std::vector<Fingerprint> new_fps;
-    for (const Fingerprint& fp : local_undetermined[s]) {
-      if (!dups.contains(fp)) new_fps.push_back(fp);
-    }
-
-    Result<StoreResult> stored =
-        servers_[s]->chunk_store().store_new_chunks(new_fps);
-    if (!stored.ok()) {
-      phase_status[s] = Status(stored.error().code, stored.error().message);
-      return;
-    }
-    servers_[s]->chunk_store().clear_log();
-    new_chunks.fetch_add(stored.value().new_chunks);
-    new_bytes.fetch_add(stored.value().new_bytes);
-
-    for (const IndexEntry& e : stored.value().entries) {
-      entry_out[s][owner_of(e.fp)].push_back(e);
-    }
-  });
-  if (Status s = check_phase_status(); !s.ok()) {
-    return Error{s.code(), s.message()};
+  if (Status s = run([](ClusterNode& node) { return node.store_chunks(); });
+      !s.ok()) {
+    return abort(s);
   }
-  result.new_chunks = new_chunks.load();
-  result.new_bytes = new_bytes.load();
+  result.new_chunks = total(&NodeRoundResult::new_chunks);
+  result.new_bytes = total(&NodeRoundResult::new_bytes);
   result.store_seconds =
-      std::max(max_delta(log_d0, log_clocks()),
+      std::max(max_delta(log_d0, clocks(&ServerClocks::log_disk)),
                repository_.max_node_seconds() - repo_d0);
 
-  // Entries a previous round routed but never registered (phase E abort)
-  // ride along with this round's batches. An excluded server's deferrals
-  // stay queued for the round that re-admits it.
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!alive[s]) continue;
-    for (const IndexEntry& e : deferred_entries_[s]) {
-      entry_out[s][owner_of(e.fp)].push_back(e);
-    }
-    deferred_entries_[s].clear();
-  }
-
-  // ---- Phase E: entries route to both copies of their partition; every
-  // copy receives everything before anyone registers. A peer that dies
-  // here no longer aborts the round outright: its own entries are
-  // deferred and its received batches dropped everywhere (so the
-  // surviving copies stay in lockstep), and a partition whose one copy
-  // went dark commits on the other copy with the missed entries recorded
-  // for catch-up. Only a partition losing BOTH copies still aborts
-  // all-or-nothing.
+  // ---- Phase E: entries route to every live copy of their partition;
+  // every copy receives everything before anyone registers. A peer that
+  // dies here is dropped (its entries deferred), and a partition whose
+  // one copy went dark commits on the other with the missed entries owed
+  // for catch-up. Only a partition losing BOTH copies aborts.
   phase("E");
-  parallel_for(n, n, [&](std::size_t s) {
-    if (!alive[s]) return;
-    for (std::size_t p = 0; p < m; ++p) {
-      for (std::size_t i = 0; i < map_.copy_count(); ++i) {
-        const std::size_t t = map_.copy(p, i).server;
-        if (t == s || !alive[t]) continue;
-        Status sent = servers_[s]->endpoint().send_buffered(
-            static_cast<net::EndpointId>(t),
-            net::IndexEntryBatch{entry_out[s][p], map_.epoch()});
-        if (!sent.ok()) note_failure(s, t);
-      }
-    }
-    for (std::size_t t = 0; t < n; ++t) {
-      if (t == s || !alive[t]) continue;
-      Status flushed =
-          servers_[s]->endpoint().flush(static_cast<net::EndpointId>(t));
-      if (!flushed.ok()) note_failure(s, t);
-    }
-  });
-  // entry_inbox[holder][part][origin].
-  std::vector<std::vector<std::vector<net::IndexEntryBatch>>> entry_inbox(
-      n, std::vector<std::vector<net::IndexEntryBatch>>(
-             m, std::vector<net::IndexEntryBatch>(n)));
-  parallel_for(n, n, [&](std::size_t t) {
-    if (!alive[t]) return;
-    // Ascending (part, origin) receive order matches the sender's
-    // ascending-part send order per (sender, receiver) pair, so the FIFO
-    // wire never hands a part-q batch to a part-p expect.
-    for (const std::size_t p : hosted_parts(t)) {
-      for (std::size_t s = 0; s < n; ++s) {
-        if (s == t) {
-          entry_inbox[t][p][s].entries = entry_out[t][p];
-          continue;
-        }
-        if (!alive[s]) continue;
-        Result<net::IndexEntryBatch> batch =
-            servers_[t]->endpoint().expect<net::IndexEntryBatch>(
-                static_cast<net::EndpointId>(s));
-        if (!batch.ok()) {
-          note_failure(t, s);
-          continue;
-        }
-        if (!epoch_ok(batch.value().epoch, t, s)) continue;
-        entry_inbox[t][p][s] = std::move(batch.value());
-      }
-    }
-  });
+  (void)run([&](auto& node) { return node.send_entries(view); });
+  received = run([&](auto& node) { return node.receive_entries(view); });
   if (std::vector<std::size_t> late = blamed_peers(); !late.empty()) {
-    for (const std::size_t b : late) {
-      if (!alive[b]) continue;
-      alive[b] = false;
-      result.skipped_servers.push_back(b);
-      director_.mark_unreachable(b);
-      for (std::size_t p = 0; p < m; ++p) {
-        deferred_entries_[b].insert(deferred_entries_[b].end(),
-                                    entry_out[b][p].begin(),
-                                    entry_out[b][p].end());
-        entry_out[b][p].clear();
-        // Drop what anyone received from the late peer: a copy that never
-        // heard from it must match the copies that did.
-        for (std::size_t t = 0; t < n; ++t) entry_inbox[t][p][b] = {};
-      }
-    }
+    for (const std::size_t b : late) exclude(b);
     for (std::size_t p = 0; p < m; ++p) {
-      const bool preferred_alive = alive[map_.copy(p, 0).server];
-      const bool backup_alive = replicated && alive[map_.copy(p, 1).server];
-      if (preferred_alive || backup_alive) continue;
-      // Both copies of part p are dark: nothing can commit this round.
-      for (std::size_t s = 0; s < n; ++s) {
-        if (!alive[s]) continue;
-        for (std::size_t q = 0; q < m; ++q) {
-          deferred_entries_[s].insert(deferred_entries_[s].end(),
-                                      entry_out[s][q].begin(),
-                                      entry_out[s][q].end());
-        }
-      }
-      return degrade(late, "E");
+      if (both_copies_dark(p)) return degrade(late, "E");
     }
   }
-  if (Status st = check_phase_status(); !st.ok()) {
-    // Epoch mismatch mid-phase-E: nothing committed; keep the routed
-    // entries for a round run against a consistent map.
-    for (std::size_t s = 0; s < n; ++s) {
-      if (!alive[s]) continue;
-      for (std::size_t q = 0; q < m; ++q) {
-        deferred_entries_[s].insert(deferred_entries_[s].end(),
-                                    entry_out[s][q].begin(),
-                                    entry_out[s][q].end());
-      }
-    }
-    return Error{st.code(), st.message()};
-  }
+  // An epoch mismatch mid-phase-E: nothing committed; the routed entries
+  // wait for a round run against a consistent map.
+  if (!received.ok()) return abort(received);
 
   // Commit: every live copy registers entries; PSIU when due or forced.
-  // Each copy applies the same per-(part, origin) batches in the same
-  // order, through the same serial bulk paths, so the device images of a
-  // partition's copies stay byte-identical while both live.
   phase("commit");
-  const std::vector<double> idx_e0 = index_clocks();
-  std::atomic<bool> ran_siu{false};
-  parallel_for(n, n, [&](std::size_t t) {
-    if (!alive[t]) return;
-    for (const std::size_t p : hosted_parts(t)) {
-      const PartitionCopy* copy = map_.copy_on(p, t);
-      for (std::size_t s = 0; s < n; ++s) {
-        const std::span<const IndexEntry> entries(entry_inbox[t][p][s].entries);
-        if (copy->via_store) {
-          servers_[t]->chunk_store().add_pending(entries);
-        } else {
-          servers_[t]->part_replica(p).add_pending(entries);
-        }
-      }
-    }
-    if (force_siu || servers_[t]->chunk_store().siu_due()) {
-      Result<SiuResult> siu = servers_[t]->chunk_store().siu();
-      if (!siu.ok()) {
-        phase_status[t] = Status(siu.error().code, siu.error().message);
-        return;
-      }
-      ran_siu.store(true);
-    }
-    for (const std::size_t p : hosted_parts(t)) {
-      if (map_.copy_on(p, t)->via_store) continue;
-      IndexPartReplica& replica = servers_[t]->part_replica(p);
-      if (!(force_siu || replica.siu_due())) continue;
-      Result<SiuResult> siu = replica.siu();
-      if (!siu.ok()) {
-        phase_status[t] = Status(siu.error().code, siu.error().message);
-        return;
-      }
-    }
-  });
-  if (Status s = check_phase_status(); !s.ok()) {
+  const std::vector<double> idx_e0 = clocks(&ServerClocks::index_disk);
+  if (Status s = run([&](ClusterNode& node) {
+        return node.commit_round(view, force_siu);
+      });
+      !s.ok()) {
     return Error{s.code(), s.message()};
   }
-  result.ran_siu = ran_siu.load();
-  result.siu_seconds = max_delta(idx_e0, index_clocks());
-
-  // Record what each dark copy missed: the surviving copy re-ships it
-  // once the holder is reachable again (deliver_catch_up).
-  for (std::size_t p = 0; p < m; ++p) {
-    for (std::size_t i = 0; i < map_.copy_count(); ++i) {
-      const std::size_t t = map_.copy(p, i).server;
-      if (alive[t]) continue;
-      for (std::size_t s = 0; s < n; ++s) {
-        if (!alive[s]) continue;
-        catch_up_[t][p].insert(catch_up_[t][p].end(), entry_out[s][p].begin(),
-                               entry_out[s][p].end());
-      }
-    }
+  for (std::size_t k = 0; k < n; ++k) {
+    result.ran_siu = result.ran_siu ||
+                     (view.alive[k] && nodes_[k]->round_result().ran_siu);
   }
+  result.siu_seconds = max_delta(idx_e0, clocks(&ServerClocks::index_disk));
 
   // The round heard from every peer it did not exclude.
   for (std::size_t k = 0; k < n; ++k) {
     if (!map_.is_live(k)) continue;
-    if (alive[k]) {
+    if (view.alive[k]) {
       director_.mark_reachable(k);
     } else {
       director_.mark_unreachable(k);
     }
   }
   std::sort(result.skipped_servers.begin(), result.skipped_servers.end());
-
   return result;
 }
 
 void Cluster::deliver_catch_up() {
-  const std::size_t n = servers_.size();
-  const std::size_t m = map_.part_count();
-  for (std::size_t t = 0; t < n; ++t) {
-    if (!map_.is_live(t)) continue;
-    for (std::size_t p = 0; p < m; ++p) {
-      std::vector<IndexEntry>& owed = catch_up_[t][p];
-      if (owed.empty()) continue;
-      if (!transport_->reachable(static_cast<net::EndpointId>(t))) continue;
-      const PartitionCopy* mine = map_.copy_on(p, t);
-      if (mine == nullptr) {
-        // A migration moved the copy elsewhere; the rebuild sourced from
-        // the surviving copy, which already has these entries.
-        owed.clear();
+  if (!map_.replicated()) return;
+  for (std::size_t t = 0; t < servers_.size(); ++t) {
+    if (!map_.is_live(t) ||
+        !transport_->reachable(static_cast<net::EndpointId>(t))) {
+      continue;
+    }
+    for (const std::size_t p : map_.parts_hosted_by(t)) {
+      const std::size_t sender = map_.other_holder(p, t);
+      ClusterNode& survivor = *nodes_[sender];
+      if (!survivor.owes_catch_up(p) ||
+          !transport_->reachable(static_cast<net::EndpointId>(sender))) {
         continue;
       }
-      // The surviving holder of part p re-ships: whichever copy of the
-      // partition the recovered server does NOT hold.
-      const std::size_t sender = map_.copy(p, 0).server == t
-                                     ? map_.copy(p, 1).server
-                                     : map_.copy(p, 0).server;
-      if (!transport_->reachable(static_cast<net::EndpointId>(sender))) {
-        continue;
-      }
-      Status sent = servers_[sender]->endpoint().send(
-          static_cast<net::EndpointId>(t),
-          net::IndexEntryBatch{owed, map_.epoch()});
-      if (!sent.ok()) continue;
-      Result<net::IndexEntryBatch> batch =
-          servers_[t]->endpoint().expect<net::IndexEntryBatch>(
-              static_cast<net::EndpointId>(sender));
-      if (!batch.ok()) continue;
-      if (batch.value().epoch != map_.epoch()) continue;
-      const std::span<const IndexEntry> entries(batch.value().entries);
-      if (mine->via_store) {
-        servers_[t]->chunk_store().add_pending(entries);
-      } else {
-        servers_[t]->part_replica(p).add_pending(entries);
-      }
-      owed.clear();
+      (void)survivor.deliver_catch_up(p, *nodes_[t]);
     }
   }
 }
@@ -727,28 +375,22 @@ BackupServer& Cluster::server_ref(std::size_t slot) {
                                 : *staged_servers_[slot - servers_.size()];
 }
 
-Status Cluster::migration_preconditions() {
-  return migration_preconditions_excluding(kNoSlot);
-}
-
-Status Cluster::migration_preconditions_excluding(std::size_t exclude) {
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (!deferred_entries_[s].empty()) {
+Status Cluster::migration_preconditions(std::size_t exclude) {
+  for (std::size_t s = 0; s < nodes_.size(); ++s) {
+    if (nodes_[s]->has_deferred_entries()) {
       return {Errc::kInvalidArgument,
               format("server {} holds deferred phase-E entries; run a clean "
                      "round first",
                      s)};
     }
-  }
-  for (std::size_t t = 0; t < catch_up_.size(); ++t) {
-    if (t == exclude) continue;  // a draining slot's debt dies with it
-    for (std::size_t p = 0; p < catch_up_[t].size(); ++p) {
-      if (!catch_up_[t][p].empty()) {
-        return {Errc::kInvalidArgument,
-                format("server {} is owed catch-up entries for part {}; let "
-                       "a round deliver them first",
-                       t, p)};
-      }
+    for (std::size_t p = 0; p < map_.part_count(); ++p) {
+      if (!nodes_[s]->owes_catch_up(p)) continue;
+      const std::size_t owed_to = map_.other_holder(p, s);
+      if (owed_to == exclude) continue;  // rebuilt from this survivor anyway
+      return {Errc::kInvalidArgument,
+              format("server {} is owed catch-up entries for part {}; let "
+                     "a round deliver them first",
+                     owed_to, p)};
     }
   }
   for (std::size_t k = 0; k < servers_.size(); ++k) {
@@ -809,14 +451,6 @@ Result<std::vector<IndexEntry>> Cluster::ship_entries(
   return std::move(got.value().entries);
 }
 
-Result<index::DiskIndex> Cluster::build_staged_index(
-    BackupServer& host, const index::DiskIndexParams& params,
-    std::vector<IndexEntry> sorted) {
-  // The shared INSTALL kernel (core/maintenance.hpp); io_buckets comes
-  // from the host's own config, identical across the fleet.
-  return core::build_staged_index(host, params, std::move(sorted));
-}
-
 Status Cluster::ensure_staged_servers(const PartitionMap& target) {
   BackupServerConfig server_config = config_.server_config;
   server_config.index_params.skip_bits = target.routing_bits();
@@ -827,14 +461,7 @@ Status Cluster::ensure_staged_servers(const PartitionMap& target) {
     // A device fault during construction abandons this attempt before the
     // slot registers an endpoint; a later retry re-stages from scratch.
     if (!server->boot_status().ok()) return server->boot_status();
-    const auto id = static_cast<net::EndpointId>(slot);
-    if (Status registered = transport_->register_endpoint(id, &server->nic());
-        !registered.ok()) {
-      return registered;
-    }
-    server->attach_endpoint(
-        std::make_unique<net::Endpoint>(transport_.get(), id, config_.retry,
-                                        config_.wire_codec));
+    if (Status connected = connect(*server); !connected.ok()) return connected;
     staged_servers_.push_back(std::move(server));
   }
   return Status::Ok();
@@ -844,7 +471,9 @@ Status Cluster::split() {
   Result<PartitionMap> next_map = map_.split();
   if (!next_map.ok()) return next_map.status();
   const PartitionMap& next = next_map.value();
-  if (Status ready = migration_preconditions(); !ready.ok()) return ready;
+  if (Status ready = migration_preconditions(kNoSlot); !ready.ok()) {
+    return ready;
+  }
   if (Status staged_fleet = ensure_staged_servers(next); !staged_fleet.ok()) {
     return staged_fleet;
   }
@@ -864,8 +493,7 @@ Status Cluster::split() {
   for (std::size_t p = 0; p < map_.part_count(); ++p) {
     const PartitionCopy& source = map_.copy(p, 0);
     Result<std::vector<IndexEntry>> extracted = index::extract_sorted_entries(
-        source.via_store ? servers_[source.server]->chunk_store().index()
-                         : servers_[source.server]->part_replica(p).index());
+        servers_[source.server]->part_index(p, source.via_store));
     if (!extracted.ok()) return extracted.status();
     // The sorted stream cuts cleanly: fingerprint order groups the new
     // low half (2p) before the high half (2p+1), and each half stays
@@ -883,7 +511,8 @@ Status Cluster::split() {
             source.server, target.server, halves[half], next.epoch());
         if (!shipped.ok()) return shipped.status();
         Result<index::DiskIndex> idx = build_staged_index(
-            server_ref(target.server), new_params, std::move(shipped).value());
+            server_ref(target.server), new_params,
+            std::move(shipped).value());
         if (!idx.ok()) return idx.status();
         staged.push_back(StagedCopy{q, target.server, target.via_store,
                                     std::move(idx).value()});
@@ -896,18 +525,12 @@ Status Cluster::split() {
   staged_servers_.clear();
   for (auto& server : servers_) server->detach_all_replicas();
   for (StagedCopy& copy : staged) {
-    BackupServer& host = *servers_[copy.slot];
-    if (copy.via_store) {
-      host.rebase_chunk_store_index(std::move(copy.idx));
-    } else {
-      host.adopt_replica(host.make_replica(copy.part, std::move(copy.idx)));
-    }
+    servers_[copy.slot]->install_copy(copy.part, copy.via_store,
+                                      std::move(copy.idx));
   }
   map_ = std::move(next_map).value();
   config_.routing_bits = map_.routing_bits();
-  deferred_entries_.assign(map_.server_slots(), {});
-  catch_up_.assign(map_.server_slots(),
-                   std::vector<std::vector<IndexEntry>>(map_.part_count()));
+  rebuild_nodes();
   return Status::Ok();
 }
 
@@ -922,7 +545,7 @@ Status Cluster::drain(std::size_t slot) {
   // The draining slot itself is exempt from the health checks: draining a
   // DARK server is the whole point — its copies are rebuilt from the
   // surviving ones, never read.
-  if (Status ready = migration_preconditions_excluding(slot); !ready.ok()) {
+  if (Status ready = migration_preconditions(slot); !ready.ok()) {
     return ready;
   }
 
@@ -938,8 +561,7 @@ Status Cluster::drain(std::size_t slot) {
     const PartitionCopy& source = next.copy(p, 0);  // the promoted survivor
     const PartitionCopy& target = next.copy(p, 1);  // the replacement
     Result<std::vector<IndexEntry>> extracted = index::extract_sorted_entries(
-        source.via_store ? servers_[source.server]->chunk_store().index()
-                         : servers_[source.server]->part_replica(p).index());
+        servers_[source.server]->part_index(p, source.via_store));
     if (!extracted.ok()) return extracted.status();
     Result<std::vector<IndexEntry>> shipped =
         ship_entries(source.server, target.server, std::move(extracted).value(),
@@ -955,8 +577,8 @@ Status Cluster::drain(std::size_t slot) {
 
   // ---- Commit: pure in-memory handover.
   for (StagedCopy& copy : staged) {
-    BackupServer& host = *servers_[copy.slot];
-    host.adopt_replica(host.make_replica(copy.part, std::move(copy.idx)));
+    servers_[copy.slot]->install_copy(copy.part, copy.via_store,
+                                      std::move(copy.idx));
   }
   servers_[slot]->detach_all_replicas();
   map_ = std::move(next_map).value();
@@ -970,115 +592,20 @@ Status Cluster::drain(std::size_t slot) {
     servers_[k]->endpoint().reset_peer(slot_id);
   }
   client_endpoint_->reset_peer(slot_id);
-  for (auto& owed : catch_up_[slot]) owed.clear();
+  rebuild_nodes();
   return Status::Ok();
 }
 
 Result<std::vector<Byte>> Cluster::read_chunk(std::size_t via_server,
                                               const Fingerprint& fp) {
   assert(via_server < servers_.size());
-  BackupServer& via = *servers_[via_server];
   const auto via_id = static_cast<net::EndpointId>(via_server);
-
-  // LPC first (Section 3.3): only a cache miss pays the owner-side index
-  // lookup and the container fetch.
-  std::vector<Byte> bytes;
-  if (std::optional<std::vector<Byte>> hit = via.chunk_store().lpc_probe(fp)) {
-    bytes = std::move(*hit);
-  } else {
-    // Locate on either copy of the partition (DESIGN.md §5g): the
-    // preferred copy first, then the backup when the preferred holder is
-    // dark, silent, or answers "not found" (its copy may lag a catch-up
-    // the other copy already has).
-    const std::size_t owner = owner_of(fp);
-    std::optional<ContainerId> container;
-    Error last_error{Errc::kUnavailable,
-                     format("no copy of part {} reachable for locate", owner)};
-    for (std::size_t i = 0; i < map_.copy_count() && !container; ++i) {
-      const PartitionCopy& holder = map_.copy(owner, i);
-      const std::size_t h = holder.server;
-      const bool use_replica = !holder.via_store;
-      if (h == via_server) {
-        Result<ContainerId> located =
-            use_replica ? via.part_replica(owner).locate(fp)
-                        : via.chunk_store().locate(fp);
-        if (!located.ok()) {
-          last_error = located.error();
-          continue;
+  return nodes_[via_server]->read_chunk_via(
+      fp, *client_endpoint_, [&](std::size_t holder, const Status& sent) {
+        if (!sent.ok() || !nodes_[holder]->answer(via_id).ok()) {
+          director_.mark_unreachable(holder);
         }
-        container = located.value();
-        continue;
-      }
-      // Locate round trip with the copy's holder over the transport.
-      const auto holder_id = static_cast<net::EndpointId>(h);
-      if (Status sent =
-              via.endpoint().send(holder_id, net::ChunkLocateRequest{fp});
-          !sent.ok()) {
-        director_.mark_unreachable(h);
-        last_error = Error{Errc::kUnavailable,
-                           format("copy holder {} unreachable for locate", h)};
-        continue;
-      }
-      Result<net::ChunkLocateRequest> request =
-          servers_[h]->endpoint().expect<net::ChunkLocateRequest>(via_id);
-      if (!request.ok()) {
-        last_error = Error{Errc::kUnavailable,
-                           format("locate request to holder {} lost", h)};
-        continue;
-      }
-      net::ChunkLocateReply reply;
-      Result<ContainerId> located =
-          use_replica ? servers_[h]->part_replica(owner).locate(
-                            request.value().fp)
-                      : servers_[h]->chunk_store().locate(request.value().fp);
-      if (located.ok()) {
-        reply.container = located.value();
-      } else {
-        reply.status = located.error().code;
-      }
-      if (Status sent = servers_[h]->endpoint().send(via_id, reply);
-          !sent.ok()) {
-        director_.mark_unreachable(h);
-        last_error = Error{Errc::kUnavailable,
-                           format("copy holder {} unreachable for reply", h)};
-        continue;
-      }
-      Result<net::ChunkLocateReply> got =
-          via.endpoint().expect<net::ChunkLocateReply>(holder_id);
-      if (!got.ok()) {
-        last_error = Error{Errc::kUnavailable,
-                           format("locate reply from holder {} lost", h)};
-        continue;
-      }
-      if (got.value().status != Errc::kOk) {
-        last_error = Error{got.value().status,
-                           format("chunk not located on holder {}", h)};
-        continue;
-      }
-      container = got.value().container;
-    }
-    if (!container) return last_error;
-    Result<std::vector<Byte>> chunk = via.chunk_store().read_chunk_at(
-        fp, *container);
-    if (!chunk.ok()) return chunk.error();
-    bytes = std::move(chunk.value());
-  }
-
-  // The restored bytes cross the serving server's wire to the client as a
-  // real ChunkData frame (and round-trip its serialization).
-  if (Status sent =
-          via.endpoint().send(client_id(), net::ChunkData{fp, std::move(bytes)});
-      !sent.ok()) {
-    return Error{Errc::kUnavailable,
-                 format("restore delivery from server {} failed", via_server)};
-  }
-  Result<net::ChunkData> delivered =
-      client_endpoint_->expect<net::ChunkData>(via_id);
-  if (!delivered.ok()) {
-    return Error{Errc::kUnavailable,
-                 format("restore delivery from server {} lost", via_server)};
-  }
-  return std::move(delivered.value().bytes);
+      });
 }
 
 Result<Dataset> Cluster::restore(std::uint64_t job_id, std::uint32_t version,
@@ -1112,7 +639,7 @@ void Cluster::reset_clocks() {
 }
 
 Status Cluster::maintenance_preconditions() {
-  if (Status s = migration_preconditions(); !s.ok()) {
+  if (Status s = migration_preconditions(kNoSlot); !s.ok()) {
     // Every violated precondition is transient — pending SIU drains with
     // a forced round, deferred/owed entries re-ship, dark copies heal —
     // so maintenance reports the retryable kBusy, not the migration
@@ -1122,100 +649,34 @@ Status Cluster::maintenance_preconditions() {
   return Status::Ok();
 }
 
+PeerRelay Cluster::maintenance_relay(std::size_t driver) {
+  return [this, driver](std::size_t peer, const Status& sent) {
+    if (sent.ok()) {
+      (void)nodes_[peer]->answer(static_cast<net::EndpointId>(driver));
+    }
+  };
+}
+
 Result<std::vector<IndexEntry>> Cluster::maintenance_mark(
     std::size_t part, std::vector<Fingerprint> live_fps) {
-  const PartitionCopy& primary = map_.copy(part, 0);
-  const std::size_t host = primary.server;
-  net::GcMarkRequest request;
-  request.epoch = map_.epoch();
-  request.part = static_cast<std::uint32_t>(part);
-  request.fps = std::move(live_fps);
-  if (Status sent = client_endpoint_->send(
-          static_cast<net::EndpointId>(host), std::move(request));
-      !sent.ok()) {
-    return Error{sent.code(), sent.message()};
-  }
-  // The in-process cluster drives both ends of the exchange (the SPMD
-  // runner's peers serve it from their own loops — cluster_node.cpp).
-  Result<net::GcMarkRequest> received =
-      servers_[host]->endpoint().expect<net::GcMarkRequest>(client_id());
-  if (!received.ok()) return received.error();
-  if (received.value().epoch != map_.epoch()) {
-    return Error{Errc::kInvalidArgument,
-                 format("gc mark for epoch {} against map epoch {}",
-                        received.value().epoch, map_.epoch())};
-  }
-  const index::DiskIndex& idx =
-      primary.via_store ? servers_[host]->chunk_store().index()
-                        : servers_[host]->part_replica(part).index();
-  Result<std::vector<IndexEntry>> classified =
-      classify_live_entries(idx, received.value().fps);
-  if (!classified.ok()) return classified.error();
-  net::GcMarkReply reply;
-  reply.epoch = map_.epoch();
-  reply.part = static_cast<std::uint32_t>(part);
-  reply.entries = std::move(classified).value();
-  if (Status sent = servers_[host]->endpoint().send(client_id(),
-                                                    std::move(reply));
-      !sent.ok()) {
-    return Error{sent.code(), sent.message()};
-  }
-  Result<net::GcMarkReply> answer =
-      client_endpoint_->expect<net::GcMarkReply>(
-          static_cast<net::EndpointId>(host));
-  if (!answer.ok()) return answer.error();
-  if (answer.value().epoch != map_.epoch() ||
-      answer.value().part != part) {
-    return Error{Errc::kInvalidArgument, "gc mark reply epoch/part mismatch"};
-  }
-  return std::move(answer.value().entries);
+  const std::size_t driver = first_live_slot(map_);
+  return nodes_[driver]->maintenance_mark(part, std::move(live_fps),
+                                          maintenance_relay(driver));
 }
 
 Status Cluster::maintenance_install(std::size_t part,
                                     std::vector<IndexEntry> sorted) {
-  index::DiskIndexParams params = config_.server_config.index_params;
-  params.skip_bits = map_.routing_bits();
-  for (std::size_t c = 0; c < map_.copy_count(); ++c) {
-    const PartitionCopy& copy = map_.copy(part, c);
-    net::GcInstall install;
-    install.epoch = map_.epoch();
-    install.part = static_cast<std::uint32_t>(part);
-    install.via_store = copy.via_store ? 1 : 0;
-    install.entries = sorted;
-    if (Status sent = client_endpoint_->send(
-            static_cast<net::EndpointId>(copy.server), std::move(install));
-        !sent.ok()) {
-      return sent;
-    }
-    Result<net::GcInstall> received =
-        servers_[copy.server]->endpoint().expect<net::GcInstall>(client_id());
-    if (!received.ok()) return received.status();
-    if (received.value().epoch != map_.epoch()) {
-      return {Errc::kInvalidArgument,
-              format("gc install for epoch {} against map epoch {}",
-                     received.value().epoch, map_.epoch())};
-    }
-    Result<index::DiskIndex> idx = build_staged_index(
-        *servers_[copy.server], params, std::move(received.value().entries));
-    if (!idx.ok()) return idx.status();
-    maintenance_staged_.push_back(StagedIndexCopy{
-        part, copy.server, copy.via_store, std::move(idx).value()});
-  }
-  return Status::Ok();
+  const std::size_t driver = first_live_slot(map_);
+  return nodes_[driver]->maintenance_install(part, std::move(sorted),
+                                             maintenance_relay(driver));
 }
 
 void Cluster::maintenance_commit_indexes() {
-  for (StagedIndexCopy& copy : maintenance_staged_) {
-    BackupServer& host = *servers_[copy.server];
-    if (copy.via_store) {
-      host.rebase_chunk_store_index(std::move(copy.idx));
-    } else {
-      host.adopt_replica(host.make_replica(copy.part, std::move(copy.idx)));
-    }
-  }
-  maintenance_staged_.clear();
+  for (auto& node : nodes_) node->commit_staged();
 }
 
-void Cluster::maintenance_abort() { maintenance_staged_.clear(); }
+void Cluster::maintenance_abort() {
+  for (auto& node : nodes_) node->drop_staged();
+}
 
 }  // namespace debar::core

@@ -20,33 +20,32 @@
 //                   the pending (checking) set, and into the on-disk index
 //                   when SIU is due or forced.
 //
+// Every server's share of each phase — its sends, receives, PSIL, chunk
+// storing and commit — is a core::ClusterNode (core/cluster_node.hpp),
+// the same code debar_clusterd runs one per process. Cluster is the
+// in-process coordinator: it owns the servers, their transport, the
+// director and the PartitionMap, runs each phase step on every node
+// concurrently, and decides at each barrier what only a global view can:
+//
+//   * blame — which peers the failed exchanges point at;
+//   * phase-A failover — a partition whose serving copy went dark is
+//     re-hosted on its other copy and the exchange re-run for it, the
+//     dark server's own batches excluded (DESIGN.md §5g);
+//   * abort — a phase-C death, a failed store, or a partition losing BOTH
+//     copies aborts the round all-or-nothing (each node takes its own
+//     abort path: drained fingerprints back before D, entries deferred
+//     from D on), with zero index mutation;
+//   * phase-E late peers — dropped, their entries deferred, and a
+//     partition left with one live copy commits there, owing the other
+//     copy a catch-up its survivor re-ships once it is reachable again.
+//
 // Phases are barriers, so per-phase elapsed time is the maximum of the
 // participating servers' modeled device times (plus the repository's
-// busiest node during storing).
-//
-// Every inter-server exchange travels as a typed net::Message through a
-// net::Transport: the fingerprints, verdicts and index entries are
-// serialized, framed, and metered through both endpoints' NIC models at
-// their actual wire size.
-//
-// Replication (DESIGN.md §5g) and elastic ownership (DESIGN.md §5j):
-// partition placement — which server serves each index part, through its
-// ChunkStore or through an IndexPartReplica — lives in an epoch-versioned
-// core::PartitionMap. Identity maps reproduce the classic layout (backup
-// copy of part p on server (p + 1) mod 2^w); split()/drain() produce the
-// post-transition permutations. Phase E dual-writes both copies before
-// the round commits; phase A/B and restore-locates fail over to the
-// other copy when the serving one is dark.
-// A single unreachable server therefore degrades a round — its partition
-// is served by the surviving copy, its own batches are excluded, its
-// undetermined fingerprints are restored — instead of aborting it. The
-// all-or-nothing abort (undetermined restored, routed entries deferred,
-// zero index mutation) remains for phase C/D deaths (a mid-PSIL origin
-// cannot be excised safely) and whenever BOTH copies of some partition
-// are unreachable. The director is told which servers to skip for job
-// assignment, and re-admits them when a round-start probe finds the
-// transport reaches them again; entries a dark copy missed are re-sent
-// from the surviving copy at that point (catch-up resync).
+// busiest node during storing). Every exchange travels as a typed
+// net::Message through the net::Transport, metered through both
+// endpoints' NIC models at its actual wire size. Split/drain (DESIGN.md
+// §5j) stay coordinator work: they rebuild partition copies between
+// rounds and swap the map.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +56,7 @@
 #include "common/result.hpp"
 #include "core/backup_engine.hpp"
 #include "core/backup_server.hpp"
+#include "core/cluster_node.hpp"
 #include "core/director.hpp"
 #include "core/partition_map.hpp"
 #include "net/endpoint.hpp"
@@ -201,31 +201,33 @@ class Cluster {
   /// looking codes.
   [[nodiscard]] Status maintenance_preconditions();
 
-  /// Mark exchange for one partition: ship its sorted live fingerprints
-  /// to the primary host (GcMarkRequest) and return the live
-  /// <fp, container> entries the host classified out of its serving copy
+  /// Mark exchange for one partition, driven by the first live node as
+  /// debar_clusterd drives it from node 0: the sorted live fingerprints go
+  /// to the primary host (GcMarkRequest) and the live <fp, container>
+  /// entries it classified out of its serving copy come back
   /// (GcMarkReply). Epoch-fenced both ways.
   [[nodiscard]] Result<std::vector<IndexEntry>> maintenance_mark(
       std::size_t part, std::vector<Fingerprint> live_fps);
 
   /// Install exchange for one partition: ship the canonical post-GC entry
-  /// stream to every copy host (GcInstall) and stage a rebuilt index
-  /// image there. Both copies are rebuilt from the same sorted stream,
-  /// so their images are byte-identical — this is what closes the
-  /// GC-era replica drift.
+  /// stream to every copy host (GcInstall, acked) and stage a rebuilt
+  /// index image on that host's node. Both copies are rebuilt from the
+  /// same sorted stream, so their images are byte-identical — this is
+  /// what closes the GC-era replica drift.
   [[nodiscard]] Status maintenance_install(std::size_t part,
                                            std::vector<IndexEntry> sorted);
 
-  /// Swap every staged image in (rebase the primary's ChunkStore index /
-  /// adopt the rebuilt replica). Pure in-memory, cannot fail; the map
-  /// epoch does not advance because placement did not change.
+  /// Swap every node's staged images in (rebase the primary's ChunkStore
+  /// index / adopt the rebuilt replica). Pure in-memory, cannot fail; the
+  /// map epoch does not advance because placement did not change.
   void maintenance_commit_indexes();
 
   /// Drop staged maintenance images (failed prepare).
   void maintenance_abort();
 
-  /// Restore-path chunk read: locate on the part owner, read and cache on
-  /// the serving server.
+  /// Restore-path chunk read: locate on a copy of the part, read and cache
+  /// on the serving server. The holder's side of the locate is answered
+  /// inline on the caller's thread.
   [[nodiscard]] Result<std::vector<Byte>> read_chunk(std::size_t via_server,
                                                      const Fingerprint& fp);
 
@@ -238,11 +240,19 @@ class Cluster {
   void reset_clocks();
 
  private:
+  /// Register `server`'s endpoint (id = its slot) on the transport.
+  [[nodiscard]] Status connect(BackupServer& server);
+  /// (Re)create one ClusterNode per server slot over the current map.
+  /// Called at construction and after every map change, whose
+  /// preconditions leave no node state worth keeping.
+  void rebuild_nodes();
   /// Re-ship entries a recovered copy missed during degraded commits:
-  /// the surviving copy of each owed partition sends them over the wire
-  /// as a normal IndexEntryBatch. Runs at every round start; anything
-  /// still undeliverable stays owed.
+  /// the surviving copy of each owed partition sends them over the wire.
+  /// Runs at every round start; anything still undeliverable stays owed.
   void deliver_catch_up();
+  /// The in-process stand-in for a peer's serve loop: answer the request
+  /// node `driver` just sent `peer` on the peer's behalf.
+  [[nodiscard]] PeerRelay maintenance_relay(std::size_t driver);
 
   // ---- Elastic repartitioning internals ----
   /// A migration only runs from a quiescent, fully-consistent cluster:
@@ -250,21 +260,14 @@ class Cluster {
   /// transport-reachable, and zero pending entries on every live copy
   /// (callers run a forced-SIU round first, so the on-disk indexes are
   /// the whole truth and the rebuilt copies stay byte-identical to a
-  /// cluster born at the target topology).
-  [[nodiscard]] Status migration_preconditions();
-  /// Same checks with one slot exempted (the slot a drain is removing:
-  /// its copies are sourced from the survivors, never consulted).
-  [[nodiscard]] Status migration_preconditions_excluding(std::size_t exclude);
+  /// cluster born at the target topology). `exclude` exempts the slot a
+  /// drain is removing: its copies are sourced from the survivors.
+  [[nodiscard]] Status migration_preconditions(std::size_t exclude);
   /// Move entries sender -> target as an epoch-stamped IndexEntryBatch
   /// over the wire (skipped when sender == target: no self-frames).
   [[nodiscard]] Result<std::vector<IndexEntry>> ship_entries(
       std::size_t sender, std::size_t target,
       std::vector<IndexEntry> entries, std::uint32_t epoch);
-  /// Fresh DiskIndex on `host`'s index device at `params`, loaded with
-  /// one sorted bulk insert (same capacity-scaling retry as SIU).
-  [[nodiscard]] Result<index::DiskIndex> build_staged_index(
-      BackupServer& host, const index::DiskIndexParams& params,
-      std::vector<IndexEntry> sorted);
   /// The server object for a slot, whether committed or still staged.
   [[nodiscard]] BackupServer& server_ref(std::size_t slot);
   /// Ensure BackupServer objects (with registered endpoints) exist for
@@ -286,24 +289,10 @@ class Cluster {
   /// creation and survive failed prepare attempts; commit moves them into
   /// servers_.
   std::vector<std::unique_ptr<BackupServer>> staged_servers_;
-  /// Entries routed in a round whose PSIU never committed (phase E abort):
-  /// re-shipped by their origin on the next round, so the index stays
-  /// all-or-nothing per round without losing entries.
-  std::vector<std::vector<IndexEntry>> deferred_entries_;
-  /// Entries committed on a partition's surviving copy while the other
-  /// copy's holder was dark: catch_up_[server][part], drained by
-  /// deliver_catch_up once the holder is reachable again.
-  std::vector<std::vector<std::vector<IndexEntry>>> catch_up_;
-
-  /// Rebuilt index images a maintenance prepare staged, waiting for
-  /// maintenance_commit_indexes / maintenance_abort.
-  struct StagedIndexCopy {
-    std::size_t part;
-    std::size_t server;
-    bool via_store;
-    index::DiskIndex idx;
-  };
-  std::vector<StagedIndexCopy> maintenance_staged_;
+  /// One protocol node per committed server (declared after servers_:
+  /// nodes point into them). Deferred entries, catch-up debt and staged
+  /// maintenance images live on the node that owns them.
+  std::vector<std::unique_ptr<ClusterNode>> nodes_;
 };
 
 }  // namespace debar::core

@@ -1,6 +1,7 @@
 #include "core/cluster_node.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/fmt.hpp"
@@ -8,9 +9,21 @@
 
 namespace debar::core {
 
+namespace {
+
+/// Phase B, as one partition host runs it: fold the per-origin batches
+/// (inbox[s] is origin s's queries, in batch order) into sorted unique
+/// fingerprints, run SIL once, and resolve per-origin verdicts — a
+/// fingerprint found on disk or pending is a duplicate for every asker;
+/// a new fingerprint asked about by several origins is stored by the
+/// smallest origin id only, the rest are told "duplicate". Origin batches
+/// are sorted (take_undetermined sorts), so the verdict positions come out
+/// strictly ascending per origin, as VerdictBatch's delta encoding wants.
+/// `duplicates` accumulates the verdict count.
+template <typename Sil>
 Result<std::vector<net::VerdictBatch>> resolve_psil(
-    const PartSilFn& sil_fn, const std::vector<net::FingerprintBatch>& inbox,
-    std::uint64_t* duplicates) {
+    const Sil& sil_fn, const std::vector<net::FingerprintBatch>& inbox,
+    std::uint64_t& duplicates) {
   const std::size_t n = inbox.size();
   std::vector<net::VerdictBatch> verdicts(n);
 
@@ -44,305 +57,425 @@ Result<std::vector<net::VerdictBatch>> resolve_psil(
   Result<SilResult> sil = sil_fn(unique_fps, found);
   if (!sil.ok()) return sil.error();
 
-  // Resolve verdicts per origin. For a fingerprint PSIL declares new
-  // that several origins asked about, only the first origin (smallest
-  // id among askers) stores it; the rest are told "duplicate".
   std::size_t qi = 0;
   for (std::size_t u = 0; u < unique_fps.size(); ++u) {
     bool designated = false;
     for (; qi < queries.size() && queries[qi].fp == unique_fps[u]; ++qi) {
-      const bool is_dup = found[u] != 0 || designated;
-      if (!is_dup) {
+      if (found[u] == 0 && !designated) {
         designated = true;  // this origin stores the chunk
-      } else {
-        verdicts[queries[qi].origin].duplicate_indices.push_back(
-            queries[qi].index);
-        if (duplicates != nullptr) ++*duplicates;
+        continue;
       }
+      verdicts[queries[qi].origin].duplicate_indices.push_back(
+          queries[qi].index);
+      ++duplicates;
     }
   }
   return verdicts;
 }
 
-Result<std::vector<net::VerdictBatch>> resolve_psil(
-    BackupServer& owner, const std::vector<net::FingerprintBatch>& inbox,
-    std::uint64_t* duplicates) {
-  return resolve_psil(
-      [&owner](const std::vector<Fingerprint>& fps,
-               std::vector<std::uint8_t>& found) {
-        return owner.chunk_store().sil(fps, found);
-      },
-      inbox, duplicates);
+bool acked(const net::Control& ack, std::uint32_t epoch) {
+  return ack.op == net::Control::kMaintenanceAck && ack.arg == epoch;
 }
 
-Result<NodeRoundResult> ClusterNode::run_dedup2_round(bool force_siu) {
-  const PartitionMap& map = config_.map;
-  const std::size_t n = map.server_slots();
-  const std::size_t m = map.part_count();
-  const std::size_t k = config_.node;
-  net::Endpoint& ep = server_->endpoint();
-  NodeRoundResult result;
-  const std::uint32_t epoch = map.epoch();
+Status epoch_mismatch(std::size_t node, const char* what, std::size_t from,
+                      std::uint32_t got, std::uint32_t want) {
+  return {Errc::kInvalidArgument,
+          format("node {}: {} from {} carries epoch {}, this node's map is "
+                 "at {}",
+                 node, what, from, got, want)};
+}
 
-  auto live = [&](std::size_t j) { return map.is_live(j); };
-  if (!live(k)) {
-    return Error{Errc::kInvalidArgument,
-                 format("node {}: slot is drained in the map", k)};
+}  // namespace
+
+// ---- Dedup-2 round ----
+
+Status ClusterNode::check_slot() const {
+  const PartitionMap& map = config_.map;
+  const std::size_t k = config_.node;
+  if (!map.is_live(k)) {
+    return {Errc::kInvalidArgument,
+            format("node {}: slot is drained in the map", k)};
   }
-  // Parts this node serves PSIL for (the preferred copy) and parts it
-  // hosts any copy of (the phase-E commit set), both ascending.
-  std::vector<std::size_t> psil_parts;
-  for (std::size_t p = 0; p < m; ++p) {
-    if (map.copy(p, 0).server == k) psil_parts.push_back(p);
-  }
-  const std::vector<std::size_t> hosted = map.parts_hosted_by(k);
   // Replication (DESIGN.md §5g) is part of the wire protocol: every peer
   // dual-writes phase E, so a node missing a replica the map assigns it
   // would desync the round for everyone.
-  for (const std::size_t p : hosted) {
+  for (const std::size_t p : map.parts_hosted_by(k)) {
     if (!map.copy_on(p, k)->via_store && !server_->has_part_replica(p)) {
-      return Error{Errc::kInvalidArgument,
-                   format("node {}: no replica attached for part {}", k, p)};
+      return {Errc::kInvalidArgument,
+              format("node {}: no replica attached for part {}", k, p)};
     }
   }
-  // Serve a partition copy through whichever object the map says.
-  auto copy_sil = [&](std::size_t p) {
-    return map.copy(p, 0).via_store
-               ? PartSilFn([this](const std::vector<Fingerprint>& fps,
-                                  std::vector<std::uint8_t>& found) {
-                   return server_->chunk_store().sil(fps, found);
-                 })
-               : PartSilFn([this, p](const std::vector<Fingerprint>& fps,
-                                     std::vector<std::uint8_t>& found) {
-                   return server_->part_replica(p).sil(fps, found);
-                 });
+  return Status::Ok();
+}
+
+Result<NodeRoundResult> ClusterNode::run_dedup2_round(bool force_siu) {
+  if (Status s = check_slot(); !s.ok()) return Error{s.code(), s.message()};
+  const PartitionMap& map = config_.map;
+  const std::size_t k = config_.node;
+  const RoundView view = static_view();
+  std::vector<std::size_t> all_parts(map.part_count());
+  std::iota(all_parts.begin(), all_parts.end(), std::size_t{0});
+  // There is no coordinator to blame a silent peer or fail over around
+  // it: any unheard peer aborts this node's round.
+  unheard_.clear();
+  const auto settle = [&](const char* phase, Status status) {
+    if (status.ok() && !unheard_.empty()) {
+      status = Status(Errc::kUnavailable,
+                      format("node {}: phase {} exchange with node {} failed",
+                             k, phase, unheard_.front()));
+    }
+    return status;
   };
 
-  // ---- Phase A: drain our undetermined set, partition by routing
-  // prefix, ship each subset to its partition's serving node (an empty
-  // batch still ships, so every pair exchanges one message per phase).
-  // Batches go out in ascending part order — the order the receiver
-  // awaits its served parts in (per-pair delivery is FIFO).
-  std::vector<Fingerprint> fps = server_->file_store().take_undetermined();
-  result.undetermined = fps.size();
-  std::vector<std::vector<Fingerprint>> outbox(m);
-  for (const Fingerprint& fp : fps) outbox[owner_of(fp)].push_back(fp);
-  for (std::size_t p = 0; p < m; ++p) {
-    const std::size_t j = map.copy(p, 0).server;
-    if (j == k) continue;
-    Status sent = ep.send_buffered(static_cast<net::EndpointId>(j),
-                                   net::FingerprintBatch{outbox[p], epoch});
-    if (sent.ok()) sent = ep.flush(static_cast<net::EndpointId>(j));
-    if (!sent.ok()) {
-      return Error{Errc::kUnavailable,
-                   format("node {}: phase A send to {} failed: {}", k, j,
-                          sent.message())};
-    }
+  begin_round();
+  Status s = settle("A", send_queries(view, all_parts));
+  if (s.ok()) s = settle("A", receive_queries(view, all_parts));
+  if (s.ok()) s = run_psil(view);
+  if (s.ok()) s = settle("C", send_verdicts(view));
+  if (s.ok()) s = settle("C", receive_verdicts(view));
+  if (s.ok()) s = store_chunks();
+  if (s.ok()) s = settle("E", send_entries(view));
+  if (s.ok()) s = settle("E", receive_entries(view));
+  if (s.ok()) s = commit_round(view, force_siu);
+  if (!s.ok()) {
+    abort_round();
+    return Error{s.code(), s.message()};
   }
-  // Barrier: per served part, one batch per origin must arrive before
-  // PSIL may run.
-  std::vector<std::vector<net::FingerprintBatch>> fp_inbox(
-      m, std::vector<net::FingerprintBatch>(n));
-  for (const std::size_t p : psil_parts) {
-    fp_inbox[p][k].fps = outbox[p];
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s == k || !live(s)) continue;
-      Result<net::FingerprintBatch> batch = ep.expect<net::FingerprintBatch>(
-          static_cast<net::EndpointId>(s), barrier_deadline());
-      if (!batch.ok()) {
-        return Error{Errc::kUnavailable,
-                     format("node {}: phase A batch from {} missing: {}", k, s,
-                            batch.error().message)};
-      }
-      if (batch.value().epoch != epoch) {
-        return Error{Errc::kInvalidArgument,
-                     format("node {}: phase A batch from {} carries epoch {}, "
-                            "this node's map is at {}",
-                            k, s, batch.value().epoch, epoch)};
-      }
-      fp_inbox[p][s] = std::move(batch.value());
-    }
-  }
+  return result_;
+}
 
-  // ---- Phase B: PSIL over every part this node serves.
-  std::vector<std::vector<net::VerdictBatch>> verdict_out(m);
-  for (const std::size_t p : psil_parts) {
+RoundView ClusterNode::static_view() const {
+  RoundView view;
+  view.alive.resize(config_.map.server_slots());
+  for (std::size_t j = 0; j < view.alive.size(); ++j) {
+    view.alive[j] = config_.map.is_live(j);
+  }
+  view.host.assign(config_.map.part_count(), 0);
+  return view;
+}
+
+void ClusterNode::begin_round() {
+  const std::size_t n = config_.map.server_slots();
+  const std::size_t m = config_.map.part_count();
+  round_ = Round{};
+  result_ = NodeRoundResult{};
+  round_.active = true;
+  round_.drained = server_->file_store().take_undetermined();
+  result_.undetermined = round_.drained.size();
+  round_.outbox.resize(m);
+  for (const Fingerprint& fp : round_.drained) {
+    round_.outbox[config_.map.owner_of(fp)].push_back(fp);
+  }
+  round_.queries.assign(m, std::vector<net::FingerprintBatch>(n));
+  round_.verdicts_out.resize(m);
+  round_.verdicts.resize(m);
+  round_.entries_out.resize(m);
+  round_.entries.assign(m, std::vector<net::IndexEntryBatch>(n));
+}
+
+void ClusterNode::post(std::size_t to, const net::Message& msg) {
+  if (!server_->endpoint()
+           .send_buffered(static_cast<net::EndpointId>(to), msg)
+           .ok()) {
+    unheard_.push_back(to);
+  }
+}
+
+void ClusterNode::flush_peers(const RoundView& view) {
+  for (std::size_t t = 0; t < view.alive.size(); ++t) {
+    if (t == config_.node || !view.alive[t]) continue;
+    if (!server_->endpoint().flush(static_cast<net::EndpointId>(t)).ok()) {
+      unheard_.push_back(t);
+    }
+  }
+}
+
+template <typename T>
+std::optional<T> ClusterNode::await(std::size_t from, Status& status) {
+  Result<T> got = server_->endpoint().expect<T>(
+      static_cast<net::EndpointId>(from), barrier_deadline());
+  if (!got.ok()) {
+    unheard_.push_back(from);
+    return std::nullopt;
+  }
+  if constexpr (requires { got.value().epoch; }) {
+    // A batch minted against a different map must never be folded into
+    // this round (DESIGN.md §5j epoch rules).
+    if (got.value().epoch != config_.map.epoch()) {
+      status = epoch_mismatch(config_.node, "batch", from, got.value().epoch,
+                              config_.map.epoch());
+      return std::nullopt;
+    }
+  }
+  return std::move(got).value();
+}
+
+template <typename Reply>
+Result<Reply> ClusterNode::ask(std::size_t peer, const net::Message& request,
+                               const PeerRelay& relay) {
+  const auto id = static_cast<net::EndpointId>(peer);
+  const Status sent = server_->endpoint().send(id, request);
+  if (relay) relay(peer, sent);
+  if (!sent.ok()) {
+    return Error{Errc::kUnavailable,
+                 format("node {}: request to node {} failed: {}",
+                        config_.node, peer, sent.message())};
+  }
+  return server_->endpoint().expect<Reply>(id, barrier_deadline());
+}
+
+// Every send step queues its batches per peer in ascending part order —
+// the order the receiver awaits them in (per-pair delivery is FIFO) — and
+// flushes at the phase boundary, so with coalescing on each (sender,
+// receiver) pair exchanges one jumbo frame per phase. Empty batches still
+// ship: every pair exchanges one message per part.
+
+Status ClusterNode::send_queries(const RoundView& view,
+                                 std::span<const std::size_t> parts) {
+  for (const std::size_t p : parts) {
+    const std::size_t j = psil_host(view, p);
+    if (j == config_.node) continue;
+    post(j, net::FingerprintBatch{round_.outbox[p], config_.map.epoch()});
+  }
+  flush_peers(view);
+  return Status::Ok();
+}
+
+Status ClusterNode::receive_queries(const RoundView& view,
+                                    std::span<const std::size_t> parts) {
+  const std::size_t k = config_.node;
+  Status status = Status::Ok();
+  for (const std::size_t p : parts) {
+    if (psil_host(view, p) != k) continue;
+    round_.queries[p][k].fps = round_.outbox[p];
+    for (std::size_t s = 0; s < view.alive.size(); ++s) {
+      if (s == k || !view.alive[s]) continue;
+      if (auto batch = await<net::FingerprintBatch>(s, status)) {
+        round_.queries[p][s] = std::move(*batch);
+      }
+    }
+  }
+  return status;
+}
+
+void ClusterNode::forget_origin(std::size_t origin) {
+  for (auto& batches : round_.queries) {
+    if (origin < batches.size()) batches[origin] = {};
+  }
+  for (auto& batches : round_.entries) {
+    if (origin < batches.size()) batches[origin] = {};
+  }
+}
+
+Status ClusterNode::run_psil(const RoundView& view) {
+  for (std::size_t p = 0; p < config_.map.part_count(); ++p) {
+    if (psil_host(view, p) != config_.node) continue;
+    // The serving copy may be this server's own chunk store or a hosted
+    // replica — the map says which.
+    const bool via_store = config_.map.copy(p, view.host[p]).via_store;
+    const auto sil = [&](const std::vector<Fingerprint>& fps,
+                         std::vector<std::uint8_t>& found) {
+      return via_store ? server_->chunk_store().sil(fps, found)
+                       : server_->part_replica(p).sil(fps, found);
+    };
     Result<std::vector<net::VerdictBatch>> verdicts =
-        resolve_psil(copy_sil(p), fp_inbox[p], &result.duplicates);
-    if (!verdicts.ok()) return verdicts.error();
-    verdict_out[p] = std::move(verdicts.value());
+        resolve_psil(sil, round_.queries[p], result_.duplicates);
+    if (!verdicts.ok()) return verdicts.status();
+    round_.verdicts_out[p] = std::move(verdicts).value();
   }
+  return Status::Ok();
+}
 
-  // ---- Phase C: verdicts return to their origins.
-  for (const std::size_t p : psil_parts) {
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s == k || !live(s)) continue;
-      Status sent =
-          ep.send_buffered(static_cast<net::EndpointId>(s), verdict_out[p][s]);
-      if (!sent.ok()) {
-        return Error{Errc::kUnavailable,
-                     format("node {}: phase C send to {} failed: {}", k, s,
-                            sent.message())};
-      }
+Status ClusterNode::send_verdicts(const RoundView& view) {
+  const std::size_t k = config_.node;
+  for (std::size_t p = 0; p < config_.map.part_count(); ++p) {
+    if (psil_host(view, p) != k) continue;
+    for (std::size_t s = 0; s < view.alive.size(); ++s) {
+      if (s != k && view.alive[s]) post(s, round_.verdicts_out[p][s]);
     }
   }
-  for (std::size_t s = 0; s < n; ++s) {
-    if (s == k || !live(s)) continue;
-    if (Status flushed = ep.flush(static_cast<net::EndpointId>(s));
-        !flushed.ok()) {
-      return Error{Errc::kUnavailable,
-                   format("node {}: phase C flush to {} failed: {}", k, s,
-                          flushed.message())};
-    }
-  }
-  std::vector<net::VerdictBatch> verdict_inbox(m);
-  for (std::size_t p = 0; p < m; ++p) {
-    const std::size_t j = map.copy(p, 0).server;
-    if (j == k) {
-      verdict_inbox[p] = std::move(verdict_out[p][k]);
+  flush_peers(view);
+  return Status::Ok();
+}
+
+Status ClusterNode::receive_verdicts(const RoundView& view) {
+  Status status = Status::Ok();
+  for (std::size_t p = 0; p < config_.map.part_count(); ++p) {
+    const std::size_t j = psil_host(view, p);
+    if (j == config_.node) {
+      round_.verdicts[p] = std::move(round_.verdicts_out[p][j]);
       continue;
     }
-    Result<net::VerdictBatch> verdict = ep.expect<net::VerdictBatch>(
-        static_cast<net::EndpointId>(j), barrier_deadline());
-    if (!verdict.ok()) {
-      return Error{Errc::kUnavailable,
-                   format("node {}: phase C verdict from {} missing: {}", k,
-                          j, verdict.error().message)};
+    std::optional<net::VerdictBatch> verdict =
+        await<net::VerdictBatch>(j, status);
+    if (!verdict) continue;
+    if (verdict->query_count != round_.outbox[p].size()) {
+      status = Status(Errc::kCorrupt,
+                      format("verdict from {} answers {} queries, {} were "
+                             "asked",
+                             j, verdict->query_count, round_.outbox[p].size()));
+      continue;
     }
-    if (verdict.value().query_count != outbox[p].size()) {
-      return Error{Errc::kCorrupt,
-                   format("verdict from {} answers {} queries, {} were asked",
-                          j, verdict.value().query_count, outbox[p].size())};
-    }
-    verdict_inbox[p] = std::move(verdict.value());
+    round_.verdicts[p] = std::move(*verdict);
   }
+  return status;
+}
 
-  // ---- Phase D: container the chunks PSIL declared new.
+Status ClusterNode::store_chunks() {
   std::unordered_set<Fingerprint, FingerprintHash> dups;
-  for (std::size_t p = 0; p < m; ++p) {
-    // Verdict indices are validated against query_count at decode and
-    // above, so they index outbox[p] safely.
-    for (const std::uint32_t idx : verdict_inbox[p].duplicate_indices) {
-      dups.insert(outbox[p][idx]);
+  for (std::size_t p = 0; p < round_.verdicts.size(); ++p) {
+    // Verdict indices are validated against query_count at decode and in
+    // receive_verdicts, so they index the outbox safely.
+    for (const std::uint32_t idx : round_.verdicts[p].duplicate_indices) {
+      dups.insert(round_.outbox[p][idx]);
     }
   }
   std::vector<Fingerprint> new_fps;
-  for (const Fingerprint& fp : fps) {
+  for (const Fingerprint& fp : round_.drained) {
     if (!dups.contains(fp)) new_fps.push_back(fp);
   }
-  Result<StoreResult> stored =
-      server_->chunk_store().store_new_chunks(new_fps);
-  if (!stored.ok()) return stored.error();
+  Result<StoreResult> stored = server_->chunk_store().store_new_chunks(new_fps);
+  if (!stored.ok()) return stored.status();
   server_->chunk_store().clear_log();
-  result.new_chunks = stored.value().new_chunks;
-  result.new_bytes = stored.value().new_bytes;
-
-  // ---- Phase E: fresh <fp, container> entries route to EVERY copy of
-  // their partition, and everything arrives before anyone registers. Per
-  // peer the batches go out in ascending part order, which is exactly the
-  // order the receiver awaits them in (per-pair delivery is FIFO).
-  std::vector<std::vector<IndexEntry>> entry_out(m);
+  round_.stored = true;
+  result_.new_chunks = stored.value().new_chunks;
+  result_.new_bytes = stored.value().new_bytes;
   for (const IndexEntry& e : stored.value().entries) {
-    entry_out[owner_of(e.fp)].push_back(e);
+    round_.entries_out[config_.map.owner_of(e.fp)].push_back(e);
   }
-  for (std::size_t p = 0; p < m; ++p) {
-    for (std::size_t c = 0; c < map.copy_count(); ++c) {
-      const std::size_t t = map.copy(p, c).server;
-      if (t == k) continue;
-      Status sent = ep.send_buffered(static_cast<net::EndpointId>(t),
-                                     net::IndexEntryBatch{entry_out[p], epoch});
-      if (!sent.ok()) {
-        return Error{Errc::kUnavailable,
-                     format("node {}: phase E send to {} failed: {}", k, t,
-                            sent.message())};
-      }
-    }
+  for (const IndexEntry& e : deferred_) {
+    round_.entries_out[config_.map.owner_of(e.fp)].push_back(e);
   }
-  // With replication every peer is owed its hosted part batches; they
-  // leave as one jumbo frame per peer at this flush boundary.
-  for (std::size_t t = 0; t < n; ++t) {
-    if (t == k || !live(t)) continue;
-    if (Status flushed = ep.flush(static_cast<net::EndpointId>(t));
-        !flushed.ok()) {
-      return Error{Errc::kUnavailable,
-                   format("node {}: phase E flush to {} failed: {}", k, t,
-                          flushed.message())};
-    }
-  }
-  // entry_inbox[part][origin]
-  std::vector<std::vector<net::IndexEntryBatch>> entry_inbox(
-      m, std::vector<net::IndexEntryBatch>(n));
-  for (const std::size_t p : hosted) {
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s == k) {
-        entry_inbox[p][s].entries = entry_out[p];
-        continue;
-      }
-      if (!live(s)) continue;
-      Result<net::IndexEntryBatch> batch = ep.expect<net::IndexEntryBatch>(
-          static_cast<net::EndpointId>(s), barrier_deadline());
-      if (!batch.ok()) {
-        return Error{Errc::kUnavailable,
-                     format("node {}: phase E entries from {} missing: {}",
-                            k, s, batch.error().message)};
-      }
-      if (batch.value().epoch != epoch) {
-        return Error{Errc::kInvalidArgument,
-                     format("node {}: phase E batch from {} carries epoch {}, "
-                            "this node's map is at {}",
-                            k, s, batch.value().epoch, epoch)};
-      }
-      entry_inbox[p][s] = std::move(batch.value());
-    }
-  }
+  deferred_.clear();
+  return Status::Ok();
+}
 
-  // Commit: register per hosted part (ascending) in origin order — the
-  // same order the orchestrated cluster uses, so primary and replica
-  // pending sets and indexes mutate identically everywhere.
-  for (const std::size_t p : hosted) {
-    const bool via_store = map.copy_on(p, k)->via_store;
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::span<const IndexEntry> entries(entry_inbox[p][s].entries);
-      if (via_store) {
-        server_->chunk_store().add_pending(entries);
-      } else {
-        server_->part_replica(p).add_pending(entries);
+Status ClusterNode::send_entries(const RoundView& view) {
+  for (std::size_t p = 0; p < config_.map.part_count(); ++p) {
+    for (std::size_t c = 0; c < config_.map.copy_count(); ++c) {
+      const std::size_t t = config_.map.copy(p, c).server;
+      if (t == config_.node || !view.alive[t]) continue;
+      post(t,
+           net::IndexEntryBatch{round_.entries_out[p], config_.map.epoch()});
+    }
+  }
+  flush_peers(view);
+  return Status::Ok();
+}
+
+Status ClusterNode::receive_entries(const RoundView& view) {
+  const std::size_t k = config_.node;
+  Status status = Status::Ok();
+  for (const std::size_t p : config_.map.parts_hosted_by(k)) {
+    round_.entries[p][k].entries = round_.entries_out[p];
+    for (std::size_t s = 0; s < view.alive.size(); ++s) {
+      if (s == k || !view.alive[s]) continue;
+      if (auto batch = await<net::IndexEntryBatch>(s, status)) {
+        round_.entries[p][s] = std::move(*batch);
       }
     }
   }
+  return status;
+}
+
+Status ClusterNode::commit_round(const RoundView& view, bool force_siu) {
+  const PartitionMap& map = config_.map;
+  const std::size_t k = config_.node;
+  const std::vector<std::size_t> hosted = map.parts_hosted_by(k);
+  // Every copy applies the same per-(part, origin) batches in the same
+  // order, through the same serial bulk paths, so the device images of a
+  // partition's copies stay byte-identical while both live.
+  for (const std::size_t p : hosted) {
+    for (const net::IndexEntryBatch& batch : round_.entries[p]) {
+      add_pending(p, batch.entries);
+    }
+    // A dark copy holder missed all of it: this surviving copy re-ships
+    // it once the holder is reachable again (catch-up resync).
+    if (!map.replicated() || view.alive[map.other_holder(p, k)]) continue;
+    owed_.resize(map.part_count());
+    for (const net::IndexEntryBatch& batch : round_.entries[p]) {
+      owed_[p].insert(owed_[p].end(), batch.entries.begin(),
+                      batch.entries.end());
+    }
+  }
+  server_->file_store().commit_undetermined();
+  round_ = Round{};  // registered: nothing is left to abort
+
   if (force_siu || server_->chunk_store().siu_due()) {
     Result<SiuResult> siu = server_->chunk_store().siu();
-    if (!siu.ok()) return siu.error();
-    result.ran_siu = true;
+    if (!siu.ok()) return siu.status();
+    result_.ran_siu = true;
   }
   for (const std::size_t p : hosted) {
     if (map.copy_on(p, k)->via_store) continue;
     IndexPartReplica& replica = server_->part_replica(p);
     if (!(force_siu || replica.siu_due())) continue;
-    Result<SiuResult> siu = replica.siu();
-    if (!siu.ok()) return siu.error();
+    if (Result<SiuResult> siu = replica.siu(); !siu.ok()) return siu.status();
   }
-  return result;
+  return Status::Ok();
 }
 
-Status ClusterNode::maintenance_preconditions() const {
-  const std::size_t k = config_.node;
-  if (!config_.map.is_live(k)) {
-    return {Errc::kInvalidArgument,
-            format("node {}: slot is drained in the map", k)};
+void ClusterNode::abort_round() {
+  if (!round_.active) return;
+  if (round_.stored) {
+    for (const std::vector<IndexEntry>& part : round_.entries_out) {
+      deferred_.insert(deferred_.end(), part.begin(), part.end());
+    }
+  } else {
+    server_->file_store().restore_undetermined(std::move(round_.drained));
   }
+  round_ = Round{};
+}
+
+void ClusterNode::add_pending(std::size_t part,
+                              std::span<const IndexEntry> entries) {
+  if (config_.map.copy_on(part, config_.node)->via_store) {
+    server_->chunk_store().add_pending(entries);
+  } else {
+    server_->part_replica(part).add_pending(entries);
+  }
+}
+
+// ---- Catch-up resync ----
+
+bool ClusterNode::owes_catch_up(std::size_t part) const {
+  return part < owed_.size() && !owed_[part].empty();
+}
+
+Status ClusterNode::deliver_catch_up(std::size_t part, ClusterNode& holder) {
+  const std::uint32_t epoch = config_.map.epoch();
+  if (Status sent = server_->endpoint().send(
+          static_cast<net::EndpointId>(holder.node()),
+          net::IndexEntryBatch{owed_[part], epoch});
+      !sent.ok()) {
+    return sent;
+  }
+  Result<net::IndexEntryBatch> batch =
+      holder.server_->endpoint().expect<net::IndexEntryBatch>(
+          static_cast<net::EndpointId>(config_.node),
+          holder.barrier_deadline());
+  if (!batch.ok()) return batch.status();
+  if (batch.value().epoch != holder.config_.map.epoch()) {
+    return epoch_mismatch(holder.node(), "catch-up batch", config_.node,
+                          batch.value().epoch, holder.config_.map.epoch());
+  }
+  holder.add_pending(part, batch.value().entries);
+  owed_[part].clear();
+  return Status::Ok();
+}
+
+// ---- Maintenance ----
+
+Status ClusterNode::maintenance_preconditions() const {
+  if (Status s = check_slot(); !s.ok()) return s;
+  const std::size_t k = config_.node;
   if (server_->chunk_store().pending_count() > 0) {
     return {Errc::kBusy,
             format("node {}: {} SIU entries pending on the primary index",
                    k, server_->chunk_store().pending_count())};
   }
   for (const std::size_t p : config_.map.parts_hosted_by(k)) {
-    const PartitionCopy* copy = config_.map.copy_on(p, k);
-    if (copy == nullptr || copy->via_store) continue;
-    if (!server_->has_part_replica(p)) {
-      return {Errc::kInvalidArgument,
-              format("node {}: no replica attached for part {}", k, p)};
-    }
+    if (config_.map.copy_on(p, k)->via_store) continue;
     if (server_->part_replica(p).pending_count() > 0) {
       return {Errc::kBusy,
               format("node {}: {} SIU entries pending on the part-{} replica",
@@ -360,37 +493,40 @@ Result<std::vector<IndexEntry>> ClusterNode::classify_hosted(
                  format("node {} hosts no copy of part {}", config_.node,
                         part)};
   }
-  const index::DiskIndex& idx = copy->via_store
-                                    ? server_->chunk_store().index()
-                                    : server_->part_replica(part).index();
-  return classify_live_entries(idx, sorted_live);
+  return classify_live_entries(server_->part_index(part, copy->via_store),
+                               sorted_live);
+}
+
+Status ClusterNode::stage_copy(std::size_t part, bool via_store,
+                               std::vector<IndexEntry> sorted) {
+  Result<index::DiskIndex> idx = build_staged_index(
+      *server_, server_->part_index(part, via_store).params(),
+      std::move(sorted));
+  if (!idx.ok()) return idx.status();
+  maintenance_staged_.push_back({part, via_store, std::move(idx).value()});
+  return Status::Ok();
+}
+
+void ClusterNode::commit_staged() {
+  for (NodeStagedCopy& c : maintenance_staged_) {
+    server_->install_copy(c.part, c.via_store, std::move(c.idx));
+  }
+  maintenance_staged_.clear();
 }
 
 Result<std::vector<IndexEntry>> ClusterNode::maintenance_mark(
-    std::size_t part, std::vector<Fingerprint> live_fps) {
-  const std::size_t k = config_.node;
+    std::size_t part, std::vector<Fingerprint> live_fps,
+    const PeerRelay& relay) {
   const std::size_t j = config_.map.copy(part, 0).server;
-  if (j == k) return classify_hosted(part, live_fps);
+  if (j == config_.node) return classify_hosted(part, live_fps);
 
-  net::Endpoint& ep = server_->endpoint();
-  const auto holder = static_cast<net::EndpointId>(j);
   const std::uint32_t epoch = config_.map.epoch();
-  if (Status sent =
-          ep.send(holder, net::GcMarkRequest{epoch,
-                                             static_cast<std::uint32_t>(part),
-                                             std::move(live_fps)});
-      !sent.ok()) {
-    return Error{Errc::kUnavailable,
-                 format("mark request for part {} to node {} failed: {}",
-                        part, j, sent.message())};
-  }
-  Result<net::GcMarkReply> reply =
-      ep.expect<net::GcMarkReply>(holder, barrier_deadline());
-  if (!reply.ok()) {
-    return Error{Errc::kUnavailable,
-                 format("mark reply for part {} from node {} missing: {}",
-                        part, j, reply.error().message)};
-  }
+  Result<net::GcMarkReply> reply = ask<net::GcMarkReply>(
+      j,
+      net::GcMarkRequest{epoch, static_cast<std::uint32_t>(part),
+                         std::move(live_fps)},
+      relay);
+  if (!reply.ok()) return reply.error();
   if (reply.value().epoch != epoch || reply.value().part != part) {
     return Error{Errc::kInvalidArgument,
                  format("mark reply from node {} answers part {} epoch {}, "
@@ -402,43 +538,25 @@ Result<std::vector<IndexEntry>> ClusterNode::maintenance_mark(
 }
 
 Status ClusterNode::maintenance_install(std::size_t part,
-                                        std::vector<IndexEntry> sorted) {
-  const std::size_t k = config_.node;
-  net::Endpoint& ep = server_->endpoint();
+                                        std::vector<IndexEntry> sorted,
+                                        const PeerRelay& relay) {
   const std::uint32_t epoch = config_.map.epoch();
   for (std::size_t c = 0; c < config_.map.copy_count(); ++c) {
     const PartitionCopy copy = config_.map.copy(part, c);
-    if (copy.server == k) {
-      const index::DiskIndexParams params =
-          copy.via_store ? server_->chunk_store().index().params()
-                         : server_->part_replica(part).index().params();
-      Result<index::DiskIndex> idx =
-          build_staged_index(*server_, params, sorted);
-      if (!idx.ok()) return idx.status();
-      maintenance_staged_.push_back(
-          {part, copy.via_store, std::move(idx).value()});
+    if (copy.server == config_.node) {
+      if (Status s = stage_copy(part, copy.via_store, sorted); !s.ok()) {
+        return s;
+      }
       continue;
     }
-    const auto holder = static_cast<net::EndpointId>(copy.server);
-    if (Status sent = ep.send(
-            holder,
-            net::GcInstall{epoch, static_cast<std::uint32_t>(part),
-                           static_cast<std::uint8_t>(copy.via_store ? 1 : 0),
-                           sorted});
-        !sent.ok()) {
-      return {Errc::kUnavailable,
-              format("install for part {} to node {} failed: {}", part,
-                     copy.server, sent.message())};
-    }
-    Result<net::Control> ack =
-        ep.expect<net::Control>(holder, barrier_deadline());
-    if (!ack.ok()) {
-      return {Errc::kUnavailable,
-              format("install ack for part {} from node {} missing: {}",
-                     part, copy.server, ack.error().message)};
-    }
-    if (ack.value().op != net::Control::kMaintenanceAck ||
-        ack.value().arg != epoch) {
+    Result<net::Control> ack = ask<net::Control>(
+        copy.server,
+        net::GcInstall{epoch, static_cast<std::uint32_t>(part),
+                       static_cast<std::uint8_t>(copy.via_store ? 1 : 0),
+                       sorted},
+        relay);
+    if (!ack.ok()) return ack.status();
+    if (!acked(ack.value(), epoch)) {
       return {Errc::kInvalidArgument,
               format("node {} acked install for part {} with op {} arg {}",
                      copy.server, part, ack.value().op, ack.value().arg)};
@@ -451,31 +569,14 @@ Status ClusterNode::maintenance_commit() {
   // Local copies swap first (pure in-memory), then the peers are
   // released; their swaps are equally infallible, so a lost ack can only
   // mean a dead peer, not a half-committed fleet.
-  for (NodeStagedCopy& c : maintenance_staged_) {
-    if (c.via_store) {
-      server_->rebase_chunk_store_index(std::move(c.idx));
-    } else {
-      server_->adopt_replica(server_->make_replica(c.part, std::move(c.idx)));
-    }
-  }
-  maintenance_staged_.clear();
-
-  net::Endpoint& ep = server_->endpoint();
+  commit_staged();
   const std::uint32_t epoch = config_.map.epoch();
   Status rc = Status::Ok();
   for (std::size_t j = 0; j < config_.map.server_slots(); ++j) {
     if (j == config_.node || !config_.map.is_live(j)) continue;
-    const auto peer = static_cast<net::EndpointId>(j);
-    Status sent = ep.send(peer, net::Control{net::Control::kMaintenanceCommit,
-                                             epoch});
-    if (sent.ok()) {
-      Result<net::Control> ack =
-          ep.expect<net::Control>(peer, barrier_deadline());
-      if (ack.ok() && ack.value().op == net::Control::kMaintenanceAck &&
-          ack.value().arg == epoch) {
-        continue;
-      }
-    }
+    Result<net::Control> ack = ask<net::Control>(
+        j, net::Control{net::Control::kMaintenanceCommit, epoch}, {});
+    if (ack.ok() && acked(ack.value(), epoch)) continue;
     if (rc.ok()) {
       rc = {Errc::kUnavailable,
             format("node {} did not acknowledge the maintenance commit", j)};
@@ -485,7 +586,7 @@ Status ClusterNode::maintenance_commit() {
 }
 
 void ClusterNode::maintenance_abort() {
-  maintenance_staged_.clear();
+  drop_staged();
   net::Endpoint& ep = server_->endpoint();
   const std::uint32_t epoch = config_.map.epoch();
   for (std::size_t j = 0; j < config_.map.server_slots(); ++j) {
@@ -495,106 +596,84 @@ void ClusterNode::maintenance_abort() {
   }
 }
 
-Status ClusterNode::serve_maintenance(net::EndpointId driver) {
-  net::Endpoint& ep = server_->endpoint();
-  const std::uint32_t epoch = config_.map.epoch();
-  const std::size_t k = config_.node;
+Status ClusterNode::serve(net::EndpointId from) {
   for (;;) {
-    std::optional<net::Message> msg =
-        ep.receive_from(driver, barrier_deadline());
-    if (!msg.has_value()) {
-      maintenance_staged_.clear();
-      return {Errc::kUnavailable,
-              format("node {}: maintenance loop heard nothing from {} within "
-                     "the round timeout",
-                     k, driver)};
+    bool done = false;
+    if (Status s = answer(from, &done); !s.ok()) {
+      drop_staged();
+      return s;
     }
-    if (const auto* mark = std::get_if<net::GcMarkRequest>(&*msg)) {
-      if (mark->epoch != epoch) {
-        maintenance_staged_.clear();
-        return {Errc::kInvalidArgument,
-                format("node {}: mark request carries epoch {}, this node's "
-                       "map is at {}",
-                       k, mark->epoch, epoch)};
-      }
-      Result<std::vector<IndexEntry>> entries =
-          classify_hosted(mark->part, mark->fps);
-      if (!entries.ok()) {
-        maintenance_staged_.clear();
-        return entries.status();
-      }
-      if (Status sent = ep.send(
-              driver, net::GcMarkReply{epoch, mark->part,
-                                       std::move(entries).value()});
-          !sent.ok()) {
-        maintenance_staged_.clear();
-        return {Errc::kUnavailable,
-                format("node {}: mark reply to {} failed: {}", k, driver,
-                       sent.message())};
-      }
-      continue;
-    }
-    if (const auto* install = std::get_if<net::GcInstall>(&*msg)) {
-      const PartitionCopy* copy = config_.map.copy_on(install->part, k);
-      if (install->epoch != epoch || copy == nullptr ||
-          copy->via_store != (install->via_store != 0)) {
-        maintenance_staged_.clear();
-        return {Errc::kInvalidArgument,
-                format("node {}: install for part {} does not match this "
-                       "node's map",
-                       k, install->part)};
-      }
-      const index::DiskIndexParams params =
-          copy->via_store ? server_->chunk_store().index().params()
-                          : server_->part_replica(install->part).index()
-                                .params();
-      Result<index::DiskIndex> idx =
-          build_staged_index(*server_, params, install->entries);
-      if (!idx.ok()) {
-        maintenance_staged_.clear();
-        return idx.status();
-      }
-      maintenance_staged_.push_back(
-          {install->part, copy->via_store, std::move(idx).value()});
-      if (Status sent = ep.send(
-              driver, net::Control{net::Control::kMaintenanceAck, epoch});
-          !sent.ok()) {
-        maintenance_staged_.clear();
-        return {Errc::kUnavailable,
-                format("node {}: install ack to {} failed: {}", k, driver,
-                       sent.message())};
-      }
-      continue;
-    }
-    if (const auto* control = std::get_if<net::Control>(&*msg)) {
-      switch (control->op) {
-        case net::Control::kMaintenanceCommit: {
-          for (NodeStagedCopy& c : maintenance_staged_) {
-            if (c.via_store) {
-              server_->rebase_chunk_store_index(std::move(c.idx));
-            } else {
-              server_->adopt_replica(
-                  server_->make_replica(c.part, std::move(c.idx)));
-            }
-          }
-          maintenance_staged_.clear();
-          return ep.send(driver,
-                         net::Control{net::Control::kMaintenanceAck, epoch});
-        }
-        case net::Control::kMaintenanceAbort:
-        case net::Control::kShutdown:
-          maintenance_staged_.clear();
-          return Status::Ok();
-        default:
-          continue;  // unknown control op: ignore
-      }
-    }
-    // Not a maintenance frame: ignore (the driver owns the choreography).
+    if (done) return Status::Ok();
   }
 }
 
+Status ClusterNode::answer(net::EndpointId from, bool* done) {
+  net::Endpoint& ep = server_->endpoint();
+  const std::uint32_t epoch = config_.map.epoch();
+  const std::size_t k = config_.node;
+  std::optional<net::Message> msg = ep.receive_from(from, barrier_deadline());
+  if (!msg.has_value()) {
+    return {Errc::kUnavailable,
+            format("node {}: heard nothing from {} within the round timeout",
+                   k, from)};
+  }
+  if (const auto* request = std::get_if<net::ChunkLocateRequest>(&*msg)) {
+    net::ChunkLocateReply reply;
+    Result<ContainerId> located = locate_hosted(request->fp);
+    if (located.ok()) {
+      reply.container = located.value();
+    } else {
+      reply.status = located.error().code;
+    }
+    return ep.send(from, reply);
+  }
+  if (const auto* mark = std::get_if<net::GcMarkRequest>(&*msg)) {
+    if (mark->epoch != epoch) {
+      return epoch_mismatch(k, "mark request", from, mark->epoch, epoch);
+    }
+    Result<std::vector<IndexEntry>> entries =
+        classify_hosted(mark->part, mark->fps);
+    if (!entries.ok()) return entries.status();
+    return ep.send(from, net::GcMarkReply{epoch, mark->part,
+                                          std::move(entries).value()});
+  }
+  if (auto* install = std::get_if<net::GcInstall>(&*msg)) {
+    const PartitionCopy* copy = config_.map.copy_on(install->part, k);
+    if (install->epoch != epoch || copy == nullptr ||
+        copy->via_store != (install->via_store != 0)) {
+      return {Errc::kInvalidArgument,
+              format("node {}: install for part {} does not match this "
+                     "node's map",
+                     k, install->part)};
+    }
+    if (Status s = stage_copy(install->part, copy->via_store,
+                              std::move(install->entries));
+        !s.ok()) {
+      return s;
+    }
+    return ep.send(from, net::Control{net::Control::kMaintenanceAck, epoch});
+  }
+  const auto* control = std::get_if<net::Control>(&*msg);
+  if (control == nullptr) return Status::Ok();  // nothing to answer
+  switch (control->op) {
+    case net::Control::kMaintenanceCommit:
+      commit_staged();
+      if (done != nullptr) *done = true;
+      return ep.send(from, net::Control{net::Control::kMaintenanceAck, epoch});
+    case net::Control::kMaintenanceAbort:
+    case net::Control::kShutdown:
+      drop_staged();
+      if (done != nullptr) *done = true;
+      return Status::Ok();
+    default:
+      return Status::Ok();  // unknown control op: ignore
+  }
+}
+
+// ---- Restores ----
+
 Result<ContainerId> ClusterNode::locate_hosted(const Fingerprint& fp) const {
-  const std::size_t owner = owner_of(fp);
+  const std::size_t owner = config_.map.owner_of(fp);
   const PartitionCopy* copy = config_.map.copy_on(owner, config_.node);
   if (copy == nullptr) {
     return Error{Errc::kNotFound,
@@ -610,41 +689,8 @@ Result<ContainerId> ClusterNode::locate_hosted(const Fingerprint& fp) const {
   return server_->part_replica(owner).locate(fp);
 }
 
-Status ClusterNode::serve_restores(net::EndpointId via) {
-  net::Endpoint& ep = server_->endpoint();
-  for (;;) {
-    std::optional<net::Message> msg =
-        ep.receive_from(via, barrier_deadline());
-    if (!msg.has_value()) {
-      return {Errc::kUnavailable,
-              format("node {}: serve loop heard nothing from {} within the "
-                     "round timeout",
-                     config_.node, via)};
-    }
-    if (const auto* control = std::get_if<net::Control>(&*msg)) {
-      if (control->op == net::Control::kShutdown) return Status::Ok();
-      continue;  // unknown control op: ignore
-    }
-    const auto* request = std::get_if<net::ChunkLocateRequest>(&*msg);
-    if (request == nullptr) continue;  // not ours to answer
-
-    net::ChunkLocateReply reply;
-    Result<ContainerId> located = locate_hosted(request->fp);
-    if (located.ok()) {
-      reply.container = located.value();
-    } else {
-      reply.status = located.error().code;
-    }
-    if (Status sent = ep.send(via, reply); !sent.ok()) {
-      return {Errc::kUnavailable,
-              format("node {}: locate reply to {} failed: {}", config_.node,
-                     via, sent.message())};
-    }
-  }
-}
-
 Result<std::vector<Byte>> ClusterNode::read_chunk_via(
-    const Fingerprint& fp, net::Endpoint& client) {
+    const Fingerprint& fp, net::Endpoint& client, const PeerRelay& relay) {
   const auto via_id = static_cast<net::EndpointId>(config_.node);
   net::Endpoint& ep = server_->endpoint();
 
@@ -658,45 +704,31 @@ Result<std::vector<Byte>> ClusterNode::read_chunk_via(
     // Failover order (DESIGN.md §5g): the partition's preferred copy
     // first, then its backup. Either copy may be this node (then the
     // lookup is local) or a peer (then it is a locate round trip with
-    // that peer's serve loop); any failure moves on to the other copy.
-    const std::size_t owner = owner_of(fp);
+    // that peer); any failure — including a "not found" from a copy that
+    // may lag a catch-up the other one has — moves on to the other copy.
+    const auto locate_on = [&](std::size_t h) -> Result<ContainerId> {
+      if (h == config_.node) return locate_hosted(fp);
+      Result<net::ChunkLocateReply> got =
+          ask<net::ChunkLocateReply>(h, net::ChunkLocateRequest{fp}, relay);
+      if (!got.ok()) return got.error();
+      if (got.value().status != Errc::kOk) {
+        return Error{got.value().status,
+                     format("chunk not located on holder {}", h)};
+      }
+      return got.value().container;
+    };
+    const std::size_t owner = config_.map.owner_of(fp);
     std::optional<ContainerId> container;
     Error last_error{Errc::kUnavailable,
                      format("no copy of part {} reachable", owner)};
-    for (std::size_t hi = 0; hi < config_.map.copy_count() && !container;
-         ++hi) {
-      const std::size_t h = config_.map.copy(owner, hi).server;
-      if (h == config_.node) {
-        Result<ContainerId> located = locate_hosted(fp);
-        if (located.ok()) {
-          container = located.value();
-        } else {
-          last_error = located.error();
-        }
-        continue;
+    for (std::size_t c = 0; c < config_.map.copy_count() && !container; ++c) {
+      Result<ContainerId> located =
+          locate_on(config_.map.copy(owner, c).server);
+      if (located.ok()) {
+        container = located.value();
+      } else {
+        last_error = located.error();
       }
-      const auto holder_id = static_cast<net::EndpointId>(h);
-      if (Status sent = ep.send(holder_id, net::ChunkLocateRequest{fp});
-          !sent.ok()) {
-        last_error =
-            Error{Errc::kUnavailable,
-                  format("part {} holder {} unreachable for locate", owner,
-                         h)};
-        continue;
-      }
-      Result<net::ChunkLocateReply> got = ep.expect<net::ChunkLocateReply>(
-          holder_id, barrier_deadline());
-      if (!got.ok()) {
-        last_error = Error{Errc::kUnavailable,
-                           format("locate reply from holder {} lost", h)};
-        continue;
-      }
-      if (got.value().status != Errc::kOk) {
-        last_error = Error{got.value().status,
-                           format("chunk not located on holder {}", h)};
-        continue;
-      }
-      container = got.value().container;
     }
     if (!container) return last_error;
     Result<std::vector<Byte>> chunk =

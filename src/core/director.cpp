@@ -38,11 +38,21 @@ std::vector<JobSpec> Director::jobs_due_on_day(std::uint32_t day) const {
   return due;
 }
 
-std::size_t Director::assign_server(std::uint64_t /*job_id*/,
+std::size_t Director::assign_server(std::uint64_t job_id,
                                     std::uint64_t expected_bytes,
                                     std::size_t server_count) {
   std::lock_guard lock(mutex_);
   server_load_.resize(std::max(server_load_.size(), server_count), 0);
+  // Affinity first: the next version's preliminary filter is seeded from
+  // the latest one, which is only safe on the server whose chunk log
+  // holds that version's payloads until dedup-2 commits it.
+  if (const auto held = holders_.find(job_id);
+      held != holders_.end() && held->second.server < server_count &&
+      !unreachable_servers_.contains(held->second.server) &&
+      !retired_servers_.contains(held->second.server)) {
+    server_load_[held->second.server] += expected_bytes;
+    return held->second.server;
+  }
   // Least-loaded among reachable servers; if none is reachable, fall back
   // to least-loaded overall rather than inventing an answer.
   std::size_t best = server_count;
@@ -65,6 +75,27 @@ std::size_t Director::assign_server(std::uint64_t /*job_id*/,
   }
   server_load_[best] += expected_bytes;
   return best;
+}
+
+void Director::hold_version(std::uint64_t job_id, std::size_t server,
+                            std::uint64_t ticket) {
+  std::lock_guard lock(mutex_);
+  holders_[job_id] = Holder{server, ticket};
+}
+
+void Director::release_versions(std::size_t server, std::uint64_t ticket) {
+  std::lock_guard lock(mutex_);
+  std::erase_if(holders_, [&](const auto& held) {
+    return held.second.server == server && held.second.ticket <= ticket;
+  });
+}
+
+std::optional<std::size_t> Director::unresolved_holder(
+    std::uint64_t job_id) const {
+  std::lock_guard lock(mutex_);
+  const auto it = holders_.find(job_id);
+  if (it == holders_.end()) return std::nullopt;
+  return it->second.server;
 }
 
 void Director::mark_unreachable(std::size_t server) {
@@ -110,11 +141,6 @@ void Director::retire_server(std::size_t server) {
   // A retired server is not "unreachable" — it is gone. Drop any transient
   // mark so degraded-round accounting never resurrects it.
   unreachable_servers_.erase(server);
-}
-
-bool Director::is_retired(std::size_t server) const {
-  std::lock_guard lock(mutex_);
-  return retired_servers_.contains(server);
 }
 
 void Director::attach_metadata_store(MetadataStore* store) {

@@ -73,9 +73,24 @@ class Director {
   /// servers; load = logical bytes routed to each server so far. Servers
   /// marked unreachable are skipped unless every server is (then the
   /// plain least-loaded answer stands — the caller will fail loudly).
+  /// Job/server affinity (DESIGN.md §5l): while the job's latest version
+  /// waits for dedup-2 on a reachable server, the run goes back there.
   [[nodiscard]] std::size_t assign_server(std::uint64_t job_id,
                                           std::uint64_t expected_bytes,
                                           std::size_t server_count);
+
+  /// Affinity bookkeeping, fed by each server's File Store: a version of
+  /// `job_id` was acknowledged on `server` as that server's `ticket`-th
+  /// version, and its chunks wait there for dedup-2.
+  void hold_version(std::uint64_t job_id, std::size_t server,
+                    std::uint64_t ticket);
+  /// A dedup-2 round committed every version `server` acknowledged up to
+  /// and including `ticket`.
+  void release_versions(std::size_t server, std::uint64_t ticket);
+  /// The server holding the job's latest version while dedup-2 has not
+  /// committed it there yet; nullopt once it has (or for a new job).
+  [[nodiscard]] std::optional<std::size_t> unresolved_holder(
+      std::uint64_t job_id) const;
 
   /// Health bookkeeping, fed by the cluster's transport layer: a degraded
   /// dedup-2 round marks the peers it could not reach, and a completed
@@ -96,7 +111,6 @@ class Director {
   /// skipped by assignment and never re-admitted by probe_reachability —
   /// unlike mark_unreachable, which models a transient outage.
   void retire_server(std::size_t server);
-  [[nodiscard]] bool is_retired(std::size_t server) const;
 
   // ---- Metadata manager ----
 
@@ -159,6 +173,11 @@ class Director {
   [[nodiscard]] std::uint64_t total_logical_bytes() const;
 
  private:
+  struct Holder {
+    std::size_t server;
+    std::uint64_t ticket;
+  };
+
   mutable std::mutex mutex_;
   DirectorConfig config_;
   std::uint32_t current_day_ = 0;
@@ -169,6 +188,9 @@ class Director {
   std::vector<std::uint64_t> server_load_;
   std::set<std::size_t> unreachable_servers_;
   std::set<std::size_t> retired_servers_;
+  /// Latest version of each job still waiting for dedup-2: where, and
+  /// its ticket there.
+  std::map<std::uint64_t, Holder> holders_;
   std::uint64_t next_job_id_ = 1;
   MetadataStore* metadata_store_ = nullptr;
 };

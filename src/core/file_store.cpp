@@ -14,12 +14,13 @@ constexpr std::uint64_t kMetadataWireBytes = 256;
 
 FileStore::FileStore(filter::PreliminaryFilterParams filter_params,
                      storage::ChunkLog* log, sim::NicModel* nic,
-                     Director* director)
+                     Director* director, std::size_t server_id)
     : filter_params_(filter_params),
       filter_(filter_params),
       log_(log),
       nic_(nic),
-      director_(director) {
+      director_(director),
+      server_id_(server_id) {
   assert(log_ != nullptr);
   assert(nic_ != nullptr);
   assert(director_ != nullptr);
@@ -52,9 +53,16 @@ FileStore::SessionId FileStore::open_session(std::uint64_t job_id) {
   // Seed with the previous version of this job chain (the filtering
   // fingerprints). A duplicate hit against any resident entry only
   // increases dedup-1 suppression, never correctness risk, because every
-  // referenced fingerprint is re-marked 'new' for dedup-2.
-  for (const Fingerprint& fp : director_->filtering_fingerprints(job_id)) {
-    filter_.seed(fp);
+  // referenced fingerprint is re-marked 'new' for dedup-2 — provided the
+  // payloads are stored, or wait in THIS server's chunk log. A version
+  // still unresolved on another server seeds nothing: dedup-2 could name
+  // this server the storer of a chunk whose data only that one holds.
+  const std::optional<std::size_t> holder =
+      director_->unresolved_holder(job_id);
+  if (!holder.has_value() || *holder == server_id_) {
+    for (const Fingerprint& fp : director_->filtering_fingerprints(job_id)) {
+      filter_.seed(fp);
+    }
   }
   return id;
 }
@@ -141,6 +149,7 @@ Result<JobVersionRecord> FileStore::close_session(SessionId id) {
     // the log/repository and will simply deduplicate.
     return Error{s.code(), "version submit failed: " + s.message()};
   }
+  director_->hold_version(record.job_id, server_id_, ++versions_acked_);
   ++stats_.jobs_completed;
   return record;
 }
@@ -183,6 +192,7 @@ std::vector<Fingerprint> FileStore::take_undetermined() {
   std::lock_guard lock(mutex_);
   std::vector<Fingerprint> out = std::move(undetermined_);
   undetermined_.clear();
+  versions_drained_ = versions_acked_;
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -195,6 +205,11 @@ void FileStore::restore_undetermined(std::vector<Fingerprint> fps) {
   } else {
     undetermined_.insert(undetermined_.end(), fps.begin(), fps.end());
   }
+}
+
+void FileStore::commit_undetermined() {
+  std::lock_guard lock(mutex_);
+  director_->release_versions(server_id_, versions_drained_);
 }
 
 std::uint64_t FileStore::undetermined_count() const {

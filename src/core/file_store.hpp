@@ -46,15 +46,20 @@ class FileStore {
   using SessionId = std::uint64_t;
 
   /// `log` and `nic` are owned by the enclosing BackupServer; `director`
-  /// is the cluster-wide metadata manager.
+  /// is the cluster-wide metadata manager, which learns from this store
+  /// which versions wait for dedup-2 on `server_id`.
   FileStore(filter::PreliminaryFilterParams filter_params,
-            storage::ChunkLog* log, sim::NicModel* nic, Director* director);
+            storage::ChunkLog* log, sim::NicModel* nic, Director* director,
+            std::size_t server_id = 0);
 
   // ---- Session API (concurrent clients; thread-safe) ----
 
   /// Start a job run in its own session. Seeds the preliminary filter
   /// with the previous version's fingerprints from the director
-  /// (job-chain semantics). Sessions may interleave arbitrarily.
+  /// (job-chain semantics) — unless that version still waits for dedup-2
+  /// on another server: its payloads sit in that server's chunk log, so a
+  /// fingerprint suppressed here would reach dedup-2 with no data behind
+  /// it. Sessions may interleave arbitrarily.
   [[nodiscard]] SessionId open_session(std::uint64_t job_id);
 
   /// Metadata backup for the next file of the session's job.
@@ -107,6 +112,11 @@ class FileStore {
   /// accumulated meanwhile is fine — take_undetermined re-deduplicates.
   void restore_undetermined(std::vector<Fingerprint> fps);
 
+  /// The round that made the last take_undetermined registered every
+  /// entry it produced: the versions acknowledged before that take are
+  /// resolved, which releases their job/server affinity at the director.
+  void commit_undetermined();
+
   [[nodiscard]] std::uint64_t undetermined_count() const;
 
   [[nodiscard]] FileStoreStats stats() const;
@@ -127,8 +137,13 @@ class FileStore {
   storage::ChunkLog* log_;
   sim::NicModel* nic_;
   Director* director_;
+  std::size_t server_id_;
 
   mutable std::mutex mutex_;
+  /// Versions acknowledged here so far, and how many of them the last
+  /// take_undetermined drained (the director's affinity tickets).
+  std::uint64_t versions_acked_ = 0;
+  std::uint64_t versions_drained_ = 0;
   std::unordered_map<SessionId, Session> sessions_;
   SessionId next_session_ = 1;
   SessionId implicit_session_ = 0;  // 0 = none open

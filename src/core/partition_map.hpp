@@ -112,6 +112,12 @@ class PartitionMap {
   [[nodiscard]] std::size_t copy_count() const noexcept {
     return replicated_ ? 2 : 1;
   }
+  /// The server holding the copy of `part` that `slot` does not hold.
+  [[nodiscard]] std::size_t other_holder(std::size_t part,
+                                         std::size_t slot) const {
+    return copy(part, 0).server == slot ? copy(part, 1).server
+                                        : copy(part, 0).server;
+  }
 
   /// Sorted, deduplicated list of partitions with a copy on server `slot`.
   [[nodiscard]] std::vector<std::size_t> parts_hosted_by(

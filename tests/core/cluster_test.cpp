@@ -202,5 +202,67 @@ TEST(ClusterTest, SingleServerClusterDegeneratesGracefully) {
   EXPECT_EQ(r.value().new_chunks, 2u);
 }
 
+TEST(ClusterTest, JobMovingServersBeforeDedup2KeepsEveryChunk) {
+  // Version 1 of a job lands on server 1 and version 2 (the same chunks)
+  // on server 0 before any dedup-2 round. Seeding version 2's filter
+  // from version 1 would leave server 0 queuing fingerprints whose
+  // payloads only server 1's log holds — and PSIL names the smaller
+  // origin, server 0, the storer. Every chunk must still be stored once
+  // and both versions must restore through every server.
+  Cluster cluster(small_cluster(1));
+  const std::uint64_t job = cluster.director().define_job("c", "d");
+  BackupEngine engine("c", &cluster.director());
+  std::vector<Fingerprint> stream;
+  for (std::uint64_t i = 0; i < 60; ++i) stream.push_back(fp(1000 + i));
+  ASSERT_TRUE(engine
+                  .run_backup_stream(job, stream,
+                                     cluster.server(1).file_store(), 512)
+                  .ok());
+  ASSERT_TRUE(engine
+                  .run_backup_stream(job, stream,
+                                     cluster.server(0).file_store(), 512)
+                  .ok());
+
+  Result<ClusterDedup2Result> round = cluster.run_dedup2(true);
+  ASSERT_TRUE(round.ok()) << round.error().to_string();
+  EXPECT_EQ(round.value().new_chunks, stream.size());
+
+  std::vector<Byte> expected;
+  for (const Fingerprint& f : stream) {
+    const auto payload = BackupEngine::synthetic_payload(f, 512);
+    expected.insert(expected.end(), payload.begin(), payload.end());
+  }
+  for (std::uint32_t version = 1; version <= 2; ++version) {
+    for (std::size_t via = 0; via < cluster.server_count(); ++via) {
+      Result<Dataset> restored = cluster.restore(job, version, via);
+      ASSERT_TRUE(restored.ok()) << "v" << version << " via " << via << ": "
+                                 << restored.error().to_string();
+      ASSERT_EQ(restored.value().files.size(), 1u);
+      EXPECT_EQ(restored.value().files[0].content, expected);
+    }
+  }
+}
+
+TEST(ClusterTest, UnresolvedVersionPinsItsJobToItsServer) {
+  // The director keeps a job on the server holding its latest version
+  // until a round commits that version there.
+  Cluster cluster(small_cluster(1));
+  const std::uint64_t job = cluster.director().define_job("c", "d");
+  BackupEngine engine("c", &cluster.director());
+  const std::vector<Fingerprint> stream = {fp(1), fp(2), fp(3)};
+  ASSERT_TRUE(engine
+                  .run_backup_stream(job, stream,
+                                     cluster.server(1).file_store(), 512)
+                  .ok());
+  EXPECT_EQ(cluster.director().unresolved_holder(job), std::size_t{1});
+  EXPECT_EQ(cluster.director().assign_server(job, 1 << 20, 2), 1u);
+  EXPECT_EQ(cluster.director().assign_server(job, 1 << 20, 2), 1u);
+
+  ASSERT_TRUE(cluster.run_dedup2(true).ok());
+  EXPECT_FALSE(cluster.director().unresolved_holder(job).has_value());
+  // Released: plain least-loaded assignment again.
+  EXPECT_EQ(cluster.director().assign_server(job, 1, 2), 0u);
+}
+
 }  // namespace
 }  // namespace debar::core

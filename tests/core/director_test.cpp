@@ -110,6 +110,25 @@ TEST(DirectorTest, AllUnreachableFallsBackToLeastLoaded) {
   EXPECT_EQ(director.assign_server(2, 10, 2), 1u);
 }
 
+TEST(DirectorTest, AffinityHoldsUntilItsTicketIsReleased) {
+  Director director;
+  director.hold_version(7, 2, 1);
+  director.hold_version(8, 2, 2);
+  EXPECT_EQ(director.assign_server(7, 1000, 4), 2u);  // pinned there
+  director.release_versions(2, 1);
+  EXPECT_FALSE(director.unresolved_holder(7).has_value());
+  EXPECT_EQ(director.unresolved_holder(8), std::size_t{2});
+
+  // A newer version elsewhere moves the hold; the old server's release
+  // leaves it alone.
+  director.hold_version(8, 3, 1);
+  director.release_versions(2, 5);
+  EXPECT_EQ(director.unresolved_holder(8), std::size_t{3});
+  // An unreachable holder does not pin the job.
+  director.mark_unreachable(3);
+  EXPECT_NE(director.assign_server(8, 10, 4), 3u);
+}
+
 TEST(DirectorTest, VersionChainAndFilteringFingerprints) {
   Director director;
   const std::uint64_t job = director.define_job("c", "d");

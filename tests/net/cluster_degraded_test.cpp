@@ -14,6 +14,7 @@
 #include "core/cluster.hpp"
 #include "net/faulty_transport.hpp"
 #include "net/transport_factory.hpp"
+#include "storage/faulty_block_device.hpp"
 
 namespace debar::core {
 namespace {
@@ -168,6 +169,70 @@ TEST(ClusterDegradedTest, UnreachablePeerAbortsPhaseEAndDefersEntries) {
   for (std::uint64_t i = 0; i < 60; ++i) {
     const std::size_t owner = cluster.owner_of(fp(i));
     EXPECT_FALSE(cluster.server(owner).chunk_store().locate(fp(i)).ok());
+  }
+}
+
+TEST(ClusterDegradedTest, PhaseDStoreFaultAbortsWithoutLosingWork) {
+  // Server 1's chunk log cannot be read back in phase D, after server 0
+  // has already containered its chunks and cleared its log. The round
+  // aborts with nothing registered; server 0's entries are deferred and
+  // server 1's drained fingerprints go back, so a clean round afterwards
+  // leaves every backed-up byte restorable through every server.
+  auto injector = std::make_shared<storage::FaultInjector>(
+      storage::FaultConfig{});
+  auto minted = std::make_shared<int>(0);
+  ClusterConfig cfg;
+  cfg.routing_bits = 1;
+  cfg.repository_nodes = 2;
+  cfg.server_config.index_params = {.prefix_bits = 6, .blocks_per_bucket = 2};
+  cfg.server_config.filter_params = {.hash_bits = 8, .capacity = 100000};
+  cfg.server_config.chunk_store.cache_params = {.hash_bits = 4,
+                                                .capacity = 1000000};
+  cfg.server_config.chunk_store.io_buckets = 8;
+  cfg.server_config.chunk_store.siu_threshold = 1;
+  // Log devices are minted one per server, in slot order.
+  cfg.server_config.log_device_factory =
+      [injector, minted]() -> std::unique_ptr<storage::BlockDevice> {
+    auto device = std::make_unique<storage::MemBlockDevice>();
+    if ((*minted)++ != 1) return device;
+    return std::make_unique<storage::FaultyBlockDevice>(std::move(device),
+                                                        injector);
+  };
+  Cluster cluster(std::move(cfg));
+  const std::uint64_t job0 = cluster.director().define_job("a", "d");
+  const std::uint64_t job1 = cluster.director().define_job("b", "d");
+  backup_stream(cluster, 0, job0, 0, 60);
+  backup_stream(cluster, 1, job1, 1000, 60);
+
+  storage::FaultConfig unreadable;
+  unreadable.read_error_rate = 1.0;
+  injector->set_config(unreadable);
+  Result<ClusterDedup2Result> faulted = cluster.run_dedup2(true);
+  ASSERT_FALSE(faulted.ok());
+  for (std::size_t k = 0; k < cluster.server_count(); ++k) {
+    EXPECT_EQ(cluster.server(k).chunk_store().pending_count(), 0u);
+  }
+  EXPECT_EQ(cluster.server(1).file_store().undetermined_count(), 60u);
+
+  injector->set_config(storage::FaultConfig{});
+  Result<ClusterDedup2Result> healed = cluster.run_dedup2(true);
+  ASSERT_TRUE(healed.ok()) << healed.error().to_string();
+  EXPECT_EQ(healed.value().new_chunks, 60u);  // server 1's, stored now
+
+  for (std::size_t via = 0; via < cluster.server_count(); ++via) {
+    for (const auto& [job, first] : {std::pair{job0, std::uint64_t{0}},
+                                     std::pair{job1, std::uint64_t{1000}}}) {
+      Result<Dataset> restored = cluster.restore(job, 1, via);
+      ASSERT_TRUE(restored.ok())
+          << "job " << job << " via " << via << ": "
+          << restored.error().to_string();
+      std::vector<Byte> expected;
+      for (std::uint64_t i = first; i < first + 60; ++i) {
+        const auto payload = BackupEngine::synthetic_payload(fp(i), 512);
+        expected.insert(expected.end(), payload.begin(), payload.end());
+      }
+      EXPECT_EQ(flatten(restored.value()), expected);
+    }
   }
 }
 

@@ -394,7 +394,9 @@ TEST(ClusterNodeEpochTest, TornMapsRejectEachOthersBatches) {
   // Same layout, different epochs — the exact state a node missing a
   // migration commit would be in. Phase-A batches carry the sender's
   // epoch; both sides must refuse to fold foreign-epoch traffic into
-  // their round (kInvalidArgument), never mis-route it.
+  // their round (kInvalidArgument), never mis-route it — and the fenced
+  // abort must not lose the work it drained: once the maps agree, a
+  // rerun stores every chunk ingested before it.
   storage::ChunkRepository repo_a(2, sim::DiskProfile::PaperRaid());
   storage::ChunkRepository repo_b(2, sim::DiskProfile::PaperRaid());
   Director dir_a;
@@ -419,6 +421,22 @@ TEST(ClusterNodeEpochTest, TornMapsRejectEachOthersBatches) {
   const PartitionMap stale = PartitionMap::identity(1);  // epoch 0
   Result<PartitionMap> split = PartitionMap::identity(0).split();
   ASSERT_TRUE(split.ok());  // identical layout, epoch 1
+
+  // Node 0 holds a backed-up version waiting for dedup-2.
+  const std::uint64_t job = dir_a.define_job("c", "d");
+  FileStore& fs = s0.file_store();
+  fs.begin_job(job);
+  fs.begin_file({.path = "s", .size = 60 * 512, .mtime = 0, .mode = 0644});
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    if (fs.offer_fingerprint(fp(i), 512)) {
+      const auto payload = BackupEngine::synthetic_payload(fp(i), 512);
+      ASSERT_TRUE(
+          fs.receive_chunk(fp(i), ByteSpan(payload.data(), payload.size()))
+              .ok());
+    }
+  }
+  fs.end_file();
+  ASSERT_TRUE(fs.end_job().ok());
 
   ClusterNode node0({.node = 0,
                      .map = stale,
@@ -446,6 +464,43 @@ TEST(ClusterNodeEpochTest, TornMapsRejectEachOthersBatches) {
       (!r0->ok() && r0->error().code == Errc::kInvalidArgument) ||
       (!r1->ok() && r1->error().code == Errc::kInvalidArgument);
   EXPECT_TRUE(fenced);
+  EXPECT_EQ(s0.file_store().undetermined_count(), 60u);
+
+  // Node 0 adopts the migration's map; the rerun resolves everything the
+  // aborted round drained.
+  ClusterNode agreed0({.node = 0,
+                       .map = split.value(),
+                       .round_timeout = std::chrono::seconds(5)},
+                      &s0);
+  std::thread rerun0([&] { r0 = agreed0.run_dedup2_round(true); });
+  std::thread rerun1([&] { r1 = node1.run_dedup2_round(true); });
+  rerun0.join();
+  rerun1.join();
+  ASSERT_TRUE(r0->ok()) << r0->error().to_string();
+  ASSERT_TRUE(r1->ok()) << r1->error().to_string();
+  EXPECT_EQ(r0->value().undetermined, 60u);
+  EXPECT_EQ(r0->value().new_chunks, 60u);
+
+  // Every chunk restores through node 0; node 1 answers the locates for
+  // its partition from its serve loop.
+  ASSERT_TRUE(
+      transport.register_endpoint(net::kClientEndpointId, nullptr).ok());
+  net::Endpoint client(&transport, net::kClientEndpointId);
+  Status served = Status::Ok();
+  std::thread serve1([&] { served = node1.serve_restores(/*via=*/0); });
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    Result<std::vector<Byte>> chunk = agreed0.read_chunk_via(fp(i), client);
+    if (!chunk.ok()) {
+      ADD_FAILURE() << "chunk " << i << ": " << chunk.error().to_string();
+      continue;
+    }
+    EXPECT_EQ(chunk.value(), BackupEngine::synthetic_payload(fp(i), 512));
+  }
+  EXPECT_TRUE(s0.endpoint()
+                  .send(1, net::Control{.op = net::Control::kShutdown})
+                  .ok());
+  serve1.join();
+  EXPECT_TRUE(served.ok()) << served.to_string();
 }
 
 }  // namespace
