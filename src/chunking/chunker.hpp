@@ -32,6 +32,11 @@ class Chunker {
 
   /// Expected (average) chunk size this chunker targets, in bytes.
   [[nodiscard]] virtual std::uint64_t expected_chunk_size() const = 0;
+
+  /// A fresh chunker with the same parameters, for another thread:
+  /// chunkers may keep scratch state, so concurrent chunk() calls need
+  /// one instance each.
+  [[nodiscard]] virtual std::unique_ptr<Chunker> clone() const = 0;
 };
 
 }  // namespace debar::chunking

@@ -16,6 +16,10 @@ class FixedChunker final : public Chunker {
     return block_size_;
   }
 
+  [[nodiscard]] std::unique_ptr<Chunker> clone() const override {
+    return std::make_unique<FixedChunker>(*this);
+  }
+
  private:
   std::uint64_t block_size_;
 };

@@ -54,6 +54,10 @@ class GearChunker final : public Chunker {
     return params_.expected_size;
   }
 
+  [[nodiscard]] std::unique_ptr<Chunker> clone() const override {
+    return std::make_unique<GearChunker>(*this);
+  }
+
   [[nodiscard]] const GearParams& params() const noexcept { return params_; }
 
   /// Masks actually applied (top bits of the 32-bit gear hash).

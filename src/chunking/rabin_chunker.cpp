@@ -23,33 +23,37 @@ std::vector<ChunkBounds> RabinChunker::chunk(ByteSpan data) {
   if (data.empty()) return out;
   out.reserve(data.size() / params_.expected_size + 1);
 
-  const std::uint64_t anchor = params_.anchor_value & anchor_mask_;
-  std::uint64_t chunk_start = 0;
-  std::uint64_t pos = 0;
+  // The window restarts from all zeros at every boundary so each chunk's
+  // boundaries depend only on its own content (required for dedup of
+  // shifted content). Once a chunk holds `window` bytes, the fingerprint
+  // is therefore a pure function of its last `window` bytes, and no cut
+  // is eligible before `min_size >= window` bytes. So each chunk skips
+  // straight to min_size - window, warms the hash on one window, and
+  // slides from there: the same fingerprints at every eligible position
+  // as sliding byte by byte from the chunk start, at a fraction of the
+  // bytes for small chunks.
+  const std::uint64_t n = data.size();
+  const std::uint64_t w = params_.window_size;
+  const std::uint64_t min = params_.min_size;
+  const std::uint64_t mask = anchor_mask_;
+  const std::uint64_t anchor = params_.anchor_value & mask;
+  const RabinHash& hash = window_.hash();
 
-  window_.reset();
-  while (pos < data.size()) {
-    const std::uint64_t fp = window_.slide(data[pos]);
-    ++pos;
-    const std::uint64_t len = pos - chunk_start;
-
-    // Boundaries are only eligible past the minimum size (so the window is
-    // also guaranteed full) and forced at the maximum size.
-    const bool at_anchor =
-        len >= params_.min_size && (fp & anchor_mask_) == anchor;
-    const bool at_max = len >= params_.max_size;
-
-    if (at_anchor || at_max) {
-      out.push_back({chunk_start, len});
-      chunk_start = pos;
-      // Restart the window so each chunk's boundaries depend only on its
-      // own content — required for dedup of shifted content.
-      window_.reset();
+  std::uint64_t start = 0;
+  while (n - start >= min) {
+    // Cuts are forced at max_size; the data may end first.
+    const std::uint64_t limit = std::min(n, start + params_.max_size);
+    std::uint64_t p = start + min;
+    std::uint64_t fp = 0;
+    for (std::uint64_t i = p - w; i < p; ++i) fp = hash.append(fp, data[i]);
+    while ((fp & mask) != anchor && p < limit) {
+      fp = window_.roll(fp, data[p - w], data[p]);
+      ++p;
     }
+    out.push_back({start, p - start});
+    start = p;
   }
-  if (chunk_start < data.size()) {
-    out.push_back({chunk_start, data.size() - chunk_start});
-  }
+  if (start < n) out.push_back({start, n - start});
   return out;
 }
 

@@ -30,17 +30,23 @@ class RabinChunker final : public Chunker {
  public:
   explicit RabinChunker(CdcParams params = {});
 
+  /// Re-entrant: reads only the window's const tables, never its ring
+  /// buffer, so concurrent calls on one instance are safe.
   [[nodiscard]] std::vector<ChunkBounds> chunk(ByteSpan data) override;
 
   [[nodiscard]] std::uint64_t expected_chunk_size() const override {
     return params_.expected_size;
   }
 
+  [[nodiscard]] std::unique_ptr<Chunker> clone() const override {
+    return std::make_unique<RabinChunker>(*this);
+  }
+
   [[nodiscard]] const CdcParams& params() const noexcept { return params_; }
 
  private:
   CdcParams params_;
-  RabinWindow window_;
+  RabinWindow window_;  // tables only (RabinWindow::roll)
   std::uint64_t anchor_mask_;  // 2^k - 1
 };
 

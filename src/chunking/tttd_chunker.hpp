@@ -44,6 +44,10 @@ class TttdChunker final : public Chunker {
     return params_.main_divisor;
   }
 
+  [[nodiscard]] std::unique_ptr<Chunker> clone() const override {
+    return std::make_unique<TttdChunker>(*this);
+  }
+
   [[nodiscard]] const TttdParams& params() const noexcept { return params_; }
 
   /// How often the last chunk() call fell back to a backup anchor or a

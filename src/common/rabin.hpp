@@ -79,6 +79,16 @@ class RabinWindow {
     return fp_;
   }
 
+  /// The stateless form of slide(): `fp` is the fingerprint of a full
+  /// window whose oldest byte is `out`; returns it with `out` dropped and
+  /// `in` appended. Reads only the tables, so it is safe to share.
+  [[nodiscard]] std::uint64_t roll(std::uint64_t fp, Byte out,
+                                   Byte in) const noexcept {
+    return hash_.append(fp ^ remove_table_[out], in);
+  }
+
+  [[nodiscard]] const RabinHash& hash() const noexcept { return hash_; }
+
   /// Reset to the all-zero window state (used at each chunk boundary so
   /// chunking is a pure function of content, independent of prior chunks).
   void reset() noexcept;

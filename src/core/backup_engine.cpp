@@ -1,12 +1,167 @@
 #include "core/backup_engine.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <optional>
+#include <thread>
 #include <unordered_map>
 
 #include "common/fmt.hpp"
 #include "common/sha1.hpp"
 
 namespace debar::core {
+
+namespace {
+
+using ChunkRun = BackupEngine::ChunkRun;
+
+/// Changed files chunked ahead of the commit loop, per worker.
+constexpr std::size_t kLookAheadPerWorker = 3;
+
+/// A finished run, or the exception chunking it threw.
+struct Finished {
+  std::optional<ChunkRun> run;
+  std::exception_ptr error;
+
+  [[nodiscard]] bool ready() const noexcept {
+    return run.has_value() || error != nullptr;
+  }
+};
+
+/// One run_backup's look-ahead. It lives on the caller's stack and the
+/// workers reach it only between Dedup1Workers::open() and close().
+struct Batch {
+  const std::vector<FileData>& files;
+  std::vector<std::size_t> order{};  // the files to chunk, in commit order
+  std::vector<std::unique_ptr<chunking::Chunker>> chunkers{};  // per worker
+  SimdPolicy simd;
+  std::size_t depth;             // runs of this batch in flight, at most
+  std::vector<Finished> ring{};  // run k lands in ring[k % depth]
+  std::size_t claimed = 0;       // runs a worker has started
+  std::size_t taken = 0;         // runs the commit loop has taken
+  std::size_t busy = 0;          // workers chunking for this batch now
+  Batch* next = nullptr;         // the next open batch
+};
+
+/// Dedup-1 chunking workers, shared by every engine, started on first use
+/// and joined at exit (DESIGN.md §5m). A worker allocates a run's vectors
+/// and the committing thread frees them; nothing else crosses threads,
+/// so no per-file task, future or queue node is allocated on one thread
+/// and freed on another. That keeps the calling thread's malloc arena
+/// laid out by its own calls alone, and peak RSS the same from run to
+/// run.
+class Dedup1Workers {
+ public:
+  static Dedup1Workers& instance() {
+    static Dedup1Workers workers(
+        std::max(1U, std::thread::hardware_concurrency()));
+    return workers;
+  }
+
+  explicit Dedup1Workers(std::size_t n) {
+    threads_.reserve(n);
+    for (std::size_t w = 0; w < n; ++w) {
+      threads_.emplace_back([this, w] { work(w); });
+    }
+  }
+
+  ~Dedup1Workers() {
+    {
+      std::lock_guard lock(mutex_);
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  Dedup1Workers(const Dedup1Workers&) = delete;
+  Dedup1Workers& operator=(const Dedup1Workers&) = delete;
+
+  [[nodiscard]] std::size_t size() const noexcept { return threads_.size(); }
+
+  void open(Batch& batch) {
+    {
+      std::lock_guard lock(mutex_);
+      batch.next = open_;
+      open_ = &batch;
+    }
+    work_cv_.notify_all();
+  }
+
+  /// The batch's next run in commit order, once a worker has finished it.
+  [[nodiscard]] ChunkRun take(Batch& batch) {
+    std::unique_lock lock(mutex_);
+    Finished& slot = batch.ring[batch.taken % batch.depth];
+    done_cv_.wait(lock, [&] { return slot.ready(); });
+    ++batch.taken;
+    Finished finished = std::move(slot);
+    slot = {};
+    lock.unlock();
+    work_cv_.notify_one();  // the window moved on by one run
+    if (finished.error) std::rethrow_exception(finished.error);
+    return std::move(*finished.run);
+  }
+
+  /// Stop the batch's claims and wait out its runs in flight.
+  void close(Batch& batch) {
+    std::unique_lock lock(mutex_);
+    batch.claimed = batch.order.size();
+    done_cv_.wait(lock, [&] { return batch.busy == 0; });
+    Batch** link = &open_;
+    while (*link != &batch) link = &(*link)->next;
+    *link = batch.next;
+  }
+
+ private:
+  /// An open batch with a run to start inside its window, if any.
+  [[nodiscard]] Batch* claimable() const noexcept {
+    for (Batch* b = open_; b != nullptr; b = b->next) {
+      if (b->claimed < b->order.size() && b->claimed < b->taken + b->depth) {
+        return b;
+      }
+    }
+    return nullptr;
+  }
+
+  void work(std::size_t w) {
+    std::unique_lock lock(mutex_);
+    for (;;) {
+      Batch* batch = nullptr;
+      work_cv_.wait(lock, [&] {
+        return stop_ || (batch = claimable()) != nullptr;
+      });
+      if (stop_) return;
+      const std::size_t k = batch->claimed++;
+      ++batch->busy;
+      lock.unlock();
+      Finished finished;
+      try {
+        const FileData& file = batch->files[batch->order[k]];
+        finished.run = BackupEngine::chunk_run(
+            *batch->chunkers[w],
+            ByteSpan(file.content.data(), file.content.size()), batch->simd);
+      } catch (...) {
+        finished.error = std::current_exception();
+      }
+      lock.lock();
+      batch->ring[k % batch->depth] = std::move(finished);
+      --batch->busy;
+      done_cv_.notify_all();
+    }
+  }
+
+  std::vector<std::thread> threads_;
+  std::mutex mutex_;
+  std::condition_variable work_cv_;  // workers: a claimable run, or stop
+  std::condition_variable done_cv_;  // callers: a run finished
+  Batch* open_ = nullptr;
+  bool stop_ = false;
+};
+
+}  // namespace
 
 BackupEngine::BackupEngine(std::string client_name, Director* director,
                            chunking::CdcParams cdc)
@@ -48,31 +203,67 @@ Result<BackupRunStats> BackupEngine::run_backup(std::uint64_t job_id,
       }
     }
   }
+  // Each file's pre-filter verdict, decided once so the look-ahead and
+  // the commit loop agree on which files get chunked: the previous
+  // version's record when (path, size, mtime) all match, else null.
+  const std::vector<FileData>& files = dataset.files;
+  std::vector<const FileRecord*> unchanged(files.size(), nullptr);
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    const auto it = previous_files.find(files[f].path);
+    if (it != previous_files.end() &&
+        it->second->meta.size == files[f].content.size() &&
+        it->second->meta.mtime == files[f].mtime) {
+      unchanged[f] = it->second;
+    }
+  }
 
+  // Look-ahead (DESIGN.md §5m): the workers chunk and fingerprint the
+  // next changed files while this thread commits the current one. A run
+  // holds only bounds and fingerprints; content stays borrowed from
+  // `dataset`. Each worker chunks with its own clone of chunker().
+  Dedup1Workers& workers = Dedup1Workers::instance();
+  Batch batch{.files = files,
+              .simd = simd_,
+              .depth = kLookAheadPerWorker * workers.size()};
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    if (unchanged[f] == nullptr) batch.order.push_back(f);
+  }
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    batch.chunkers.push_back(chunker_->clone());
+  }
+  batch.ring.resize(batch.depth);
+  workers.open(batch);
+  // However the call exits, the runs still in flight finish before the
+  // batch and the caller's dataset can go away.
+  struct CloseBatch {
+    Dedup1Workers& workers;
+    Batch& batch;
+    ~CloseBatch() { workers.close(batch); }
+  } close_batch{workers, batch};
+
+  // Every FileStore call stays on this thread in file order, so records,
+  // the chunk log and modeled clocks match a serial engine byte for byte.
   store.begin_job(job_id);
-  for (const FileData& file : dataset.files) {
-    if (options.incremental) {
-      const auto it = previous_files.find(file.path);
-      if (it != previous_files.end() &&
-          it->second->meta.size == file.content.size() &&
-          it->second->meta.mtime == file.mtime) {
-        // Unchanged since the last run: coarse-granularity dedup —
-        // nothing crosses the wire, the old file index is reused.
-        store.record_unchanged_file(*it->second);
-        ++stats.files;
-        ++stats.unchanged_files;
-        stats.logical_bytes += it->second->logical_bytes();
-        continue;
-      }
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    const FileData& file = files[f];
+    if (const FileRecord* same = unchanged[f]) {
+      // Unchanged since the last run: coarse-granularity dedup —
+      // nothing crosses the wire, the old file index is reused.
+      store.record_unchanged_file(*same);
+      ++stats.files;
+      ++stats.unchanged_files;
+      stats.logical_bytes += same->logical_bytes();
+      continue;
     }
     // Metadata backup.
     store.begin_file({.path = file.path,
                       .size = file.content.size(),
                       .mtime = file.mtime,
                       .mode = 0644});
-    // Anchoring + chunk fingerprinting + content backup.
+    // Anchoring + chunk fingerprinting (ahead, on the workers) + content
+    // backup.
     const ByteSpan content(file.content.data(), file.content.size());
-    const ChunkRun run = chunk_run(*chunker_, content, simd_);
+    const ChunkRun run = workers.take(batch);
     const std::vector<chunking::ChunkBounds>& bounds = run.bounds;
     const std::vector<Fingerprint>& fps = run.fps;
     for (std::size_t i = 0; i < bounds.size(); ++i) {

@@ -48,6 +48,9 @@ struct BackupRunStats {
   std::uint64_t chunks = 0;
   std::uint64_t logical_bytes = 0;
   std::uint64_t transferred_bytes = 0;  // after preliminary filtering
+
+  friend bool operator==(const BackupRunStats&,
+                         const BackupRunStats&) = default;
 };
 
 struct BackupOptions {
@@ -61,8 +64,9 @@ struct BackupOptions {
 
 class BackupEngine {
  public:
-  /// Paper-default engine: Rabin CDC with `cdc` parameters, scalar
-  /// fingerprinting path (boundaries and dedup behavior of the seed).
+  /// Paper-default engine: Rabin CDC with `cdc` parameters and the
+  /// auto-dispatched SHA-1 lane (SimdPolicy::kAuto). Every lane yields
+  /// the same digests, so boundaries and dedup behavior are the paper's.
   BackupEngine(std::string client_name, Director* director,
                chunking::CdcParams cdc = {});
 
@@ -73,6 +77,16 @@ class BackupEngine {
                const chunking::ChunkerConfig& config);
 
   /// Back up `dataset` as one run of `job_id` through `store`.
+  ///
+  /// Chunking and fingerprinting run ahead on a process-wide worker pool
+  /// (std::thread::hardware_concurrency() workers, started on first
+  /// use), a few files per worker ahead of the commit, each worker with
+  /// its own clone of chunker(). Files the incremental
+  /// pre-filter skips are never chunked. Every FileStore call is made on
+  /// the calling thread in file order, so the version record, chunk log,
+  /// containers, index and modeled clocks are byte-identical to chunking
+  /// each file inline. On an error, in-flight chunking finishes before
+  /// the call returns.
   [[nodiscard]] Result<BackupRunStats> run_backup(std::uint64_t job_id,
                                                   const Dataset& dataset,
                                                   FileStore& store,

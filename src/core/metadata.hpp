@@ -34,6 +34,8 @@ struct FileRecord {
     for (const std::uint32_t s : chunk_sizes) total += s;
     return total;
   }
+
+  friend bool operator==(const FileRecord&, const FileRecord&) = default;
 };
 
 /// A completed run of a job: everything needed to restore it.
@@ -56,6 +58,9 @@ struct JobVersionRecord {
     }
     return out;
   }
+
+  friend bool operator==(const JobVersionRecord&,
+                         const JobVersionRecord&) = default;
 };
 
 /// A job object (Section 3.1): what to back up, from which client, when.

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <thread>
 
 #include "common/rng.hpp"
+#include "workload/file_tree.hpp"
 
 namespace debar::chunking {
 namespace {
@@ -162,6 +164,167 @@ TEST_P(RabinChunkerParamTest, MeanTracksExpectedSize) {
 
 INSTANTIATE_TEST_SUITE_P(ExpectedSizes, RabinChunkerParamTest,
                          ::testing::Values(2048, 4096, 8192, 16384));
+
+// ---- Byte-identity oracle ---------------------------------------------------
+//
+// RabinChunker::chunk skips each chunk's first min_size - window bytes and
+// warms the hash on one window. The reference below is the textbook loop
+// it replaced: slide every byte through RabinWindow's ring buffer, reset
+// the window at every cut. The two must agree on every boundary.
+
+std::vector<ChunkBounds> reference_chunk(ByteSpan data, const CdcParams& p) {
+  RabinWindow window(p.window_size, p.poly);
+  const std::uint64_t mask = p.expected_size - 1;
+  const std::uint64_t anchor = p.anchor_value & mask;
+  std::vector<ChunkBounds> out;
+  std::uint64_t chunk_start = 0;
+  std::uint64_t pos = 0;
+  while (pos < data.size()) {
+    const std::uint64_t fp = window.slide(data[pos]);
+    ++pos;
+    const std::uint64_t len = pos - chunk_start;
+    if ((len >= p.min_size && (fp & mask) == anchor) || len >= p.max_size) {
+      out.push_back({chunk_start, len});
+      chunk_start = pos;
+      window.reset();
+    }
+  }
+  if (chunk_start < data.size()) {
+    out.push_back({chunk_start, data.size() - chunk_start});
+  }
+  return out;
+}
+
+std::vector<CdcParams> oracle_params() {
+  std::vector<CdcParams> all;
+  all.push_back(CdcParams{});  // paper default: 48 / 2K / 8K / 64K
+  CdcParams tight;             // min_size == window_size: no skip at all
+  tight.min_size = tight.window_size;
+  tight.expected_size = 1024;
+  tight.max_size = 4096;
+  all.push_back(tight);
+  CdcParams small;  // many chunks, many forced cuts
+  small.min_size = 64;
+  small.expected_size = 256;
+  small.max_size = 2048;
+  all.push_back(small);
+  CdcParams odd;  // another window, anchor and degree-63 modulus
+  odd.window_size = 32;
+  odd.min_size = 100;
+  odd.expected_size = 512;
+  odd.max_size = 1000;
+  odd.anchor_value = 0x1ab;
+  odd.poly = 0xb15e234bd3792f63ULL;
+  all.push_back(odd);
+  return all;
+}
+
+std::vector<std::uint64_t> oracle_lengths(const CdcParams& p) {
+  const std::uint64_t w = p.window_size;
+  return {0,
+          1,
+          w - 1,
+          w,
+          p.min_size - 1,
+          p.min_size,
+          p.min_size + 1,
+          p.max_size - 1,
+          p.max_size,
+          p.max_size + 1,
+          3 * p.max_size + 7};
+}
+
+void expect_matches_reference(ByteSpan data, const CdcParams& p,
+                              const std::string& what) {
+  RabinChunker chunker(p);
+  EXPECT_EQ(chunker.chunk(data), reference_chunk(data, p))
+      << what << ", " << data.size() << " bytes, min " << p.min_size
+      << " expected " << p.expected_size << " max " << p.max_size
+      << " window " << p.window_size;
+}
+
+TEST(RabinOracleTest, EdgeLengthsMatchReference) {
+  for (const CdcParams& p : oracle_params()) {
+    ASSERT_TRUE(p.valid());
+    const std::uint64_t longest = 3 * p.max_size + 7;
+    const std::vector<std::pair<std::string, std::vector<Byte>>> inputs = {
+        {"random", random_data(40, longest)},
+        {"random-2", random_data(41, longest)},
+        {"zeros", std::vector<Byte>(longest, 0x00)},
+        {"ones", std::vector<Byte>(longest, 0xFF)},
+    };
+    for (const auto& [name, bytes] : inputs) {
+      for (const std::uint64_t len : oracle_lengths(p)) {
+        expect_matches_reference(ByteSpan(bytes.data(), len), p, name);
+      }
+    }
+  }
+}
+
+TEST(RabinOracleTest, LongRandomInputsMatchReference) {
+  for (const CdcParams& p : oracle_params()) {
+    for (std::uint64_t seed = 50; seed < 53; ++seed) {
+      const std::vector<Byte> data = random_data(seed, 1 << 20);
+      expect_matches_reference(ByteSpan(data.data(), data.size()), p,
+                               "random seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(RabinOracleTest, VersionedTreeMatchesReference) {
+  // Real backup content: a shared-block tree and edited generations.
+  std::vector<core::Dataset> versions;
+  versions.push_back(workload::make_dataset(
+      {.files = 12, .mean_file_bytes = 96 * KiB, .seed = 606}));
+  for (std::uint64_t day = 1; day <= 2; ++day) {
+    versions.push_back(
+        workload::mutate_dataset(versions.back(), {.seed = 700 + day}));
+  }
+  for (const CdcParams& p : oracle_params()) {
+    for (const core::Dataset& version : versions) {
+      for (const core::FileData& file : version.files) {
+        expect_matches_reference(
+            ByteSpan(file.content.data(), file.content.size()), p,
+            file.path);
+      }
+    }
+  }
+}
+
+TEST(RabinOracleTest, ConcurrentCallsOnOneInstanceAgree) {
+  // chunk() reads only const tables, so one instance serves many threads.
+  RabinChunker shared;
+  std::vector<std::vector<Byte>> inputs;
+  for (std::uint64_t seed = 60; seed < 64; ++seed) {
+    inputs.push_back(random_data(seed, 512 * 1024));
+  }
+  std::vector<std::vector<ChunkBounds>> got(inputs.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < inputs.size(); ++t) {
+    threads.emplace_back([&, t] {
+      got[t] = shared.chunk(ByteSpan(inputs[t].data(), inputs[t].size()));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t t = 0; t < inputs.size(); ++t) {
+    EXPECT_EQ(got[t], reference_chunk(ByteSpan(inputs[t].data(),
+                                               inputs[t].size()),
+                                      CdcParams{}));
+  }
+}
+
+TEST(RabinOracleTest, CloneChunksIdentically) {
+  CdcParams p;
+  p.min_size = 64;
+  p.expected_size = 256;
+  p.max_size = 2048;
+  const RabinChunker original(p);
+  const std::unique_ptr<Chunker> copy = original.clone();
+  EXPECT_EQ(copy->expected_chunk_size(), 256u);
+  const std::vector<Byte> data = random_data(70, 256 * 1024);
+  const ByteSpan span(data.data(), data.size());
+  EXPECT_EQ(copy->chunk(span), reference_chunk(span, p));
+}
 
 }  // namespace
 }  // namespace debar::chunking
