@@ -16,7 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -225,7 +225,7 @@ std::vector<double> run_read(ClusterRun& run) {
 
 const double kSizesTb[] = {0.5, 1, 2, 4, 8};
 
-void print_tables(const char* wire_json_path) {
+void print_tables() {
   std::printf("\n=== Figure 14(a): aggregate write throughput, 16 servers "
               "(GB/s, modeled) ===\n");
   std::printf("index (TB) | dedup-1 | dedup-2 | total\n");
@@ -278,38 +278,6 @@ void print_tables(const char* wire_json_path) {
               static_cast<double>(wire.raw_bytes_sent) / 1e6,
               static_cast<double>(wire.bytes_sent) / 1e6);
 
-  // Machine-readable ledger of the same run for the perf trajectory
-  // (bench_wire_codec emits the before/after BENCH_wire.json; this dump
-  // adds the full-figure-14 data point alongside it).
-  if (wire_json_path != nullptr) {
-    std::FILE* f = std::fopen(wire_json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", wire_json_path);
-      std::exit(1);
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"fig14_cluster\",\n"
-                 "  \"raw_bytes\": %llu,\n  \"wire_bytes\": %llu,\n"
-                 "  \"frames\": %llu,\n  \"raw_by_type\": {\"fp\": %llu, "
-                 "\"verdict\": %llu, \"entry\": %llu, \"chunk\": %llu}\n}\n",
-                 static_cast<unsigned long long>(wire.raw_bytes_sent),
-                 static_cast<unsigned long long>(wire.bytes_sent),
-                 static_cast<unsigned long long>(wire.frames_sent),
-                 static_cast<unsigned long long>(
-                     wire.raw_bytes_by_type[static_cast<std::size_t>(
-                         net::MessageType::kFingerprintBatch)]),
-                 static_cast<unsigned long long>(
-                     wire.raw_bytes_by_type[static_cast<std::size_t>(
-                         net::MessageType::kVerdictBatch)]),
-                 static_cast<unsigned long long>(
-                     wire.raw_bytes_by_type[static_cast<std::size_t>(
-                         net::MessageType::kIndexEntryBatch)]),
-                 static_cast<unsigned long long>(
-                     wire.raw_bytes_by_type[static_cast<std::size_t>(
-                         net::MessageType::kChunkData)]));
-    std::fclose(f);
-    std::printf("wrote %s\n", wire_json_path);
-  }
 }
 
 /// One small two-server dedup-2 workload (two overlapping generations)
@@ -426,13 +394,7 @@ BENCHMARK(BM_Fig14_Read)->Iterations(1)->Unit(benchmark::kSecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* wire_json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--wire_json=", 12) == 0) {
-      wire_json_path = argv[i] + 12;
-    }
-  }
-  print_tables(wire_json_path);
+  print_tables();
   print_socket_parity();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -174,18 +174,12 @@ bool open_file_repo(const fs::path& dir, NodeState& st) {
 
 /// With two or more nodes every node also hosts the backup copy of
 /// partition (k - 1) mod n (DESIGN.md §5g), file-backed next to the
-/// primary as replica.bin. Same idiom as the primary: attach a RAM-backed
-/// replica, then swap in the file-backed image.
+/// primary as replica.bin.
 bool attach_file_replica(const fs::path& node_dir, std::size_t k, unsigned w,
                          NodeState& st) {
   const std::size_t n = std::size_t{1} << w;
   if (n < 2) return true;
   const std::size_t part = core::PartitionMap::replica_part_of(k, n);
-  if (Status attached = st.server->attach_replica(part); !attached.ok()) {
-    std::fprintf(stderr, "replica attach: %s\n",
-                 attached.message().c_str());
-    return false;
-  }
   auto device = storage::FileBlockDevice::open(node_dir / "replica.bin");
   if (!device.ok()) {
     std::fprintf(stderr, "replica device: %s\n",
@@ -199,7 +193,7 @@ bool attach_file_replica(const fs::path& node_dir, std::size_t k, unsigned w,
                  idx.error().to_string().c_str());
     return false;
   }
-  st.server->part_replica(part).index() = std::move(idx).value();
+  st.server->install_copy(part, /*via_store=*/false, std::move(idx).value());
   return true;
 }
 

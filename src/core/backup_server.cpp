@@ -56,6 +56,7 @@ BackupServer::BackupServer(std::size_t server_id,
   file_store_ = std::make_unique<FileStore>(config.filter_params,
                                             chunk_log_.get(), &nic_model_,
                                             director, server_id);
+  dedup2_pool_ = std::make_shared<Dedup2Pool>(config.chunk_store.dedup2);
   // The index cache must agree with the index part on routing bits, and
   // the chunk store seals containers of the server's configured size.
   ChunkStoreConfig cs = config.chunk_store;
@@ -63,41 +64,51 @@ BackupServer::BackupServer(std::size_t server_id,
   cs.container_capacity = config.container_capacity;
   chunk_store_ = std::make_unique<ChunkStore>(
       std::move(idx).value(), cs, repository, chunk_log_.get(),
-      [factory = config.index_device_factory, model = &index_model_] {
-        return mint_device(factory, model);
-      });
+      [this] { return mint_index_device(); }, dedup2_pool_);
 }
 
 Status BackupServer::attach_replica(std::size_t part) {
-  if (replicas_.contains(part)) {
+  if (hosted_.contains(part)) {
     return {Errc::kInvalidArgument,
             "server already hosts a replica of this part"};
   }
-  Result<index::DiskIndex> idx = index::DiskIndex::create(
-      mint_device(config_.index_device_factory, &index_model_),
-      config_.index_params);
+  Result<index::DiskIndex> idx =
+      index::DiskIndex::create(mint_index_device(), config_.index_params);
   if (!idx.ok()) return {idx.error().code, idx.error().message};
-  adopt_replica(make_replica(part, std::move(idx).value()));
+  install_copy(part, /*via_store=*/false, std::move(idx).value());
   return Status::Ok();
 }
 
-void BackupServer::adopt_replica(std::unique_ptr<IndexPartReplica> replica) {
-  const std::size_t part = replica->part();
-  replicas_[part] = std::move(replica);
+void BackupServer::install_copy(std::size_t part, bool via_store,
+                                index::DiskIndex idx) {
+  if (via_store) {
+    rebase_chunk_store_index(std::move(idx));
+  } else {
+    hosted_[part] = make_part(std::move(idx));
+  }
+}
+
+IndexPart* BackupServer::find_part(std::size_t part, bool via_store) {
+  if (via_store) return chunk_store_.get();
+  const auto it = hosted_.find(part);
+  return it == hosted_.end() ? nullptr : it->second.get();
+}
+
+std::vector<IndexPart*> BackupServer::index_parts() {
+  std::vector<IndexPart*> parts{chunk_store_.get()};
+  for (const auto& [part, copy] : hosted_) parts.push_back(copy.get());
+  return parts;
+}
+
+std::unique_ptr<IndexPart> BackupServer::make_part(index::DiskIndex idx) {
+  return std::make_unique<IndexPart>(
+      std::move(idx), config_.chunk_store.io_buckets,
+      config_.chunk_store.siu_threshold,
+      [this] { return mint_index_device(); }, dedup2_pool_);
 }
 
 std::unique_ptr<storage::BlockDevice> BackupServer::mint_index_device() {
   return mint_device(config_.index_device_factory, &index_model_);
-}
-
-std::unique_ptr<IndexPartReplica> BackupServer::make_replica(
-    std::size_t part, index::DiskIndex idx) {
-  return std::make_unique<IndexPartReplica>(
-      part, std::move(idx), config_.chunk_store.io_buckets,
-      config_.chunk_store.siu_threshold,
-      [factory = config_.index_device_factory, model = &index_model_] {
-        return mint_device(factory, model);
-      });
 }
 
 Result<Dedup2Result> BackupServer::run_dedup2(bool force_siu) {

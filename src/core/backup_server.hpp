@@ -7,12 +7,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "common/result.hpp"
 #include "core/chunk_store.hpp"
 #include "core/director.hpp"
 #include "core/file_store.hpp"
-#include "core/index_replica.hpp"
+#include "core/index_part.hpp"
 #include "filter/preliminary_filter.hpp"
 #include "index/disk_index.hpp"
 #include "net/endpoint.hpp"
@@ -117,59 +118,51 @@ class BackupServer {
   }
   [[nodiscard]] net::Endpoint& endpoint() noexcept { return *endpoint_; }
 
-  /// Host the backup copy of index part `part` here (cluster replication,
-  /// DESIGN.md §5g): a second DiskIndex minted by the same device factory
-  /// and params as the primary — identical entry sequences yield
-  /// byte-identical images — metered on this server's index disk. A server
-  /// may host several replica parts at once (post-drain maps do this).
-  [[nodiscard]] Status attach_replica(std::size_t part);
-  /// Adopt an externally built replica (elastic migration commit hands
-  /// over replicas whose indexes the prepare stage already populated).
-  void adopt_replica(std::unique_ptr<IndexPartReplica> replica);
-  void detach_all_replicas() noexcept { replicas_.clear(); }
-  [[nodiscard]] bool has_part_replica(std::size_t part) const noexcept {
-    return replicas_.contains(part);
-  }
-  [[nodiscard]] IndexPartReplica& part_replica(std::size_t part) {
-    return *replicas_.at(part);
-  }
-  [[nodiscard]] const IndexPartReplica& part_replica(std::size_t part) const {
-    return *replicas_.at(part);
-  }
-  /// The index serving `part` here: the primary ChunkStore's (via_store)
-  /// or the hosted replica's.
-  [[nodiscard]] index::DiskIndex& part_index(std::size_t part,
-                                             bool via_store) {
-    return via_store ? chunk_store_->index() : replicas_.at(part)->index();
-  }
+  // ---- Index copies (cluster replication, DESIGN.md §5g) ----
+  //
+  // Every copy of a part on this server is an IndexPart: the ChunkStore
+  // (the copy the map marks via_store) or one hosted for another part.
+  // All are metered on this server's index disk and share its dedup-2
+  // pool.
 
-  // ---- Elastic repartitioning hooks (core/cluster split/drain) ----
+  /// Host a fresh, empty copy of index part `part` here: a DiskIndex
+  /// minted by the same device factory and params as the primary —
+  /// identical entry sequences yield byte-identical images. A server may
+  /// host copies of several parts at once (post-drain maps do this).
+  [[nodiscard]] Status attach_replica(std::size_t part);
+  /// Install a rebuilt copy of `part` (a migration or maintenance commit,
+  /// or a file-backed image at start-up): rebase the ChunkStore's index
+  /// (via_store) or host it as the part's copy, replacing any held.
+  /// Infallible — commit-safe.
+  void install_copy(std::size_t part, bool via_store, index::DiskIndex idx);
+  void detach_all_replicas() noexcept { hosted_.clear(); }
+
+  /// The copy of `part` served here: the ChunkStore (via_store) or the
+  /// hosted copy; nullptr when this server hosts none.
+  [[nodiscard]] IndexPart* find_part(std::size_t part, bool via_store);
+  /// As find_part, for a copy the caller knows is here.
+  [[nodiscard]] IndexPart& part_index(std::size_t part, bool via_store) {
+    return via_store ? *chunk_store_ : *hosted_.at(part);
+  }
+  /// Every copy on this server: the ChunkStore first, then hosted copies
+  /// by ascending part. They share one index disk model, so this order
+  /// fixes the modeled seek cost of a commit's SIU passes.
+  [[nodiscard]] std::vector<IndexPart*> index_parts();
+
+  /// A copy around `idx` with this server's index disk, I/O size, SIU
+  /// threshold and dedup-2 pool, not attached to any part.
+  [[nodiscard]] std::unique_ptr<IndexPart> make_part(index::DiskIndex idx);
 
   /// Mint a fresh index block device (same factory and disk model as the
   /// primary index), for staging a rebuilt partition during migration.
   [[nodiscard]] std::unique_ptr<storage::BlockDevice> mint_index_device();
 
-  /// Build (but do not attach) a replica of `part` around an index the
-  /// migration prepare stage populated. Infallible — commit-safe.
-  [[nodiscard]] std::unique_ptr<IndexPartReplica> make_replica(
-      std::size_t part, index::DiskIndex idx);
-
   /// Swap the primary ChunkStore index for a rebuilt one (split commit:
   /// the partition width changed, so skip_bits did too). Keeps the
-  /// server's config in agreement so later replica mints match.
+  /// server's config in agreement so later copy mints match.
   void rebase_chunk_store_index(index::DiskIndex idx) noexcept {
     config_.index_params.skip_bits = idx.params().skip_bits;
     chunk_store_->rebase_index(std::move(idx));
-  }
-
-  /// Install a rebuilt copy of `part` (a migration or maintenance commit):
-  /// rebase the primary index, or adopt it as the part's replica.
-  void install_copy(std::size_t part, bool via_store, index::DiskIndex idx) {
-    if (via_store) {
-      rebase_chunk_store_index(std::move(idx));
-    } else {
-      adopt_replica(make_replica(part, std::move(idx)));
-    }
   }
 
  private:
@@ -184,13 +177,15 @@ class BackupServer {
   sim::DiskModel log_model_;
   sim::DiskModel index_model_;
 
+  /// One dedup-2 pool for every index copy here.
+  std::shared_ptr<Dedup2Pool> dedup2_pool_;
   std::unique_ptr<storage::ChunkLog> chunk_log_;
   std::unique_ptr<FileStore> file_store_;
   std::unique_ptr<ChunkStore> chunk_store_;
   std::unique_ptr<net::Endpoint> endpoint_;
-  /// Backup copies of remote partitions hosted here, keyed by part id
+  /// Copies of other servers' partitions hosted here, keyed by part id
   /// (ordered, so commit-time iteration is deterministic).
-  std::map<std::size_t, std::unique_ptr<IndexPartReplica>> replicas_;
+  std::map<std::size_t, std::unique_ptr<IndexPart>> hosted_;
 };
 
 }  // namespace debar::core

@@ -1,7 +1,5 @@
 #include "core/chunk_store.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <unordered_set>
 
@@ -11,79 +9,19 @@ namespace debar::core {
 
 ChunkStore::ChunkStore(index::DiskIndex idx, ChunkStoreConfig config,
                        storage::ChunkRepository* repository,
-                       storage::ChunkLog* log, DeviceFactory device_factory)
-    : index_(std::move(idx)),
+                       storage::ChunkLog* log, DeviceFactory device_factory,
+                       std::shared_ptr<Dedup2Pool> pool)
+    : IndexPart(std::move(idx), config.io_buckets, config.siu_threshold,
+                std::move(device_factory),
+                pool != nullptr ? std::move(pool)
+                                : std::make_shared<Dedup2Pool>(config.dedup2)),
       config_(config),
       repository_(repository),
       containers_(repository, config.container_capacity),
       log_(log),
-      device_factory_(std::move(device_factory)),
       lpc_(config.lpc_containers) {
   assert(repository_ != nullptr);
   assert(log_ != nullptr);
-  assert(device_factory_ != nullptr);
-}
-
-double ChunkStore::index_clock_seconds() const {
-  const sim::DiskModel* model = index_.device().model();
-  return model == nullptr ? 0.0 : model->clock()->seconds();
-}
-
-ThreadPool* ChunkStore::dedup2_pool() {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(config_.dedup2.resolved_threads());
-  }
-  return pool_.get();
-}
-
-Result<SilResult> ChunkStore::sil(const std::vector<Fingerprint>& sorted_fps,
-                                  std::vector<std::uint8_t>& found) {
-  SilResult result;
-  result.queried = sorted_fps.size();
-  found.assign(sorted_fps.size(), 0);
-
-  const double t0 = index_clock_seconds();
-  const std::size_t threads = config_.dedup2.resolved_threads();
-  Status s = Status::Ok();
-  if (threads > 1) {
-    // Shard workers hit disjoint input indices (found[i] writes never
-    // collide); only the counter needs to be atomic.
-    std::atomic<std::uint64_t> found_on_disk{0};
-    const index::ParallelIoOptions par{dedup2_pool(), threads,
-                                       config_.dedup2.pipeline_depth};
-    s = index_.bulk_lookup_sharded(
-        std::span<const Fingerprint>(sorted_fps),
-        [&found, &found_on_disk](std::size_t i, ContainerId) {
-          found[i] = 1;
-          found_on_disk.fetch_add(1, std::memory_order_relaxed);
-        },
-        config_.io_buckets, par);
-    result.found_on_disk = found_on_disk.load();
-  } else {
-    s = index_.bulk_lookup(
-        std::span<const Fingerprint>(sorted_fps),
-        [&](std::size_t i, ContainerId) {
-          found[i] = 1;
-          ++result.found_on_disk;
-        },
-        config_.io_buckets);
-  }
-  if (!s.ok()) return Error{s.code(), s.message()};
-  result.seconds = index_clock_seconds() - t0;
-
-  // Checking-fingerprint pass (Section 5.4): fingerprints already stored
-  // by an earlier SIL round but still awaiting SIU must not be stored
-  // again. This is an in-memory set, no device time.
-  {
-    std::lock_guard lock(pending_mutex_);
-    for (std::size_t i = 0; i < sorted_fps.size(); ++i) {
-      if (found[i] == 0 && pending_.contains(sorted_fps[i])) {
-        found[i] = 1;
-        ++result.found_pending;
-      }
-    }
-  }
-  return result;
 }
 
 Result<StoreResult> ChunkStore::store_new_chunks(
@@ -145,83 +83,6 @@ Result<StoreResult> ChunkStore::store_new_chunks(
     return false;
   });
   return result;
-}
-
-void ChunkStore::add_pending(std::span<const IndexEntry> entries) {
-  std::lock_guard lock(pending_mutex_);
-  for (const IndexEntry& e : entries) {
-    // Last writer wins: normal dedup-2 never re-adds a pending
-    // fingerprint, but the defragmenter re-maps pending entries to their
-    // new containers through this path.
-    pending_.insert_or_assign(e.fp, e.container);
-  }
-}
-
-Result<SiuResult> ChunkStore::siu() {
-  SiuResult result;
-
-  std::vector<IndexEntry> entries;
-  {
-    std::lock_guard lock(pending_mutex_);
-    if (pending_.empty()) return result;
-    entries.reserve(pending_.size());
-    for (const auto& [fp, cid] : pending_) entries.push_back({fp, cid});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const IndexEntry& a, const IndexEntry& b) { return a.fp < b.fp; });
-
-  const std::size_t threads = config_.dedup2.resolved_threads();
-  const double t0 = index_clock_seconds();
-  for (;;) {
-    std::uint64_t inserted = 0;
-    std::vector<std::size_t> failed;
-    Status s = Status::Ok();
-    if (threads > 1) {
-      const index::ParallelIoOptions par{dedup2_pool(), threads,
-                                         config_.dedup2.pipeline_depth};
-      s = index_.bulk_insert_pipelined(std::span<const IndexEntry>(entries),
-                                       config_.io_buckets, par, &inserted,
-                                       &failed);
-    } else {
-      s = index_.bulk_insert(std::span<const IndexEntry>(entries),
-                             config_.io_buckets, &inserted, &failed);
-    }
-    result.inserted += inserted;
-    if (s.ok()) break;
-    if (s.code() != Errc::kFull) return Error{s.code(), s.message()};
-
-    // Capacity scaling (Section 4.1): rebuild at 2^{n+1} buckets, then
-    // re-apply only the entries that could not be placed.
-    DEBAR_LOG_INFO("disk index full at {} entries; scaling capacity",
-                   index_.entry_count());
-    Result<index::DiskIndex> scaled = index_.scaled(device_factory_());
-    if (!scaled.ok()) return scaled.error();
-    index_ = std::move(scaled).value();
-    ++result.scalings;
-
-    std::vector<IndexEntry> retry;
-    retry.reserve(failed.size());
-    for (const std::size_t i : failed) retry.push_back(entries[i]);
-    entries = std::move(retry);
-    if (entries.empty()) break;
-  }
-  result.seconds = index_clock_seconds() - t0;
-
-  {
-    std::lock_guard lock(pending_mutex_);
-    pending_.clear();
-  }
-  return result;
-}
-
-Result<ContainerId> ChunkStore::locate(const Fingerprint& fp) const {
-  {
-    std::lock_guard lock(pending_mutex_);
-    if (const auto it = pending_.find(fp); it != pending_.end()) {
-      return it->second;
-    }
-  }
-  return index_.lookup(fp);
 }
 
 std::optional<std::vector<Byte>> ChunkStore::lpc_probe(const Fingerprint& fp) {

@@ -1,60 +1,35 @@
 // Chunk Store — the dedup-2 engine on a backup server (Sections 5.2-5.4).
 //
-// Exposes the three batched primitives TPDS composes:
+// A ChunkStore is the server's own copy of its index part (IndexPart:
+// sil(), add_pending()/siu(), locate()) plus the data service that copy
+// is fed from:
 //
-//   sil()              sequential index lookup over this server's index
-//                      part, plus the checking-fingerprint set that
-//                      shields asynchronous SIU from duplicate storage;
 //   store_new_chunks() replay the chunk log, write genuinely new chunks
 //                      to containers in SISL order, and emit the
 //                      <fingerprint, containerID> entries;
-//   add_pending()/siu()  queue entries and flush them to the disk index
-//                      with one sequential read-modify-write pass,
-//                      triggering capacity scaling when buckets fill.
+//   read_chunk()       restore through LPC with container prefetch.
 //
 // A single-server dedup-2 is sil -> store -> add_pending -> (maybe) siu;
 // the Cluster interleaves routing exchanges between the same calls for
-// PSIL/PSIU. Restore goes through LPC with container prefetch.
+// PSIL/PSIU.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "cache/index_cache.hpp"
 #include "cache/lpc_cache.hpp"
 #include "chunking/chunker_config.hpp"
 #include "common/result.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
+#include "core/index_part.hpp"
 #include "index/disk_index.hpp"
 #include "storage/chunk_log.hpp"
 #include "storage/container_manager.hpp"
 
 namespace debar::core {
-
-/// Execution knobs for the parallel dedup-2 pipeline (sharded SIL,
-/// SIL/store overlap, pipelined SIU). All outputs — container IDs, index
-/// image, metadata, modeled seconds — are byte-identical for every value
-/// of `threads`; the knob only changes how many cores chase them.
-struct Dedup2Options {
-  /// Worker threads. 0 = one per hardware thread; 1 = today's serial
-  /// code paths, unchanged.
-  std::size_t threads = 0;
-  /// Bounded look-ahead, in batches (SIL->store channel) and in io_buckets
-  /// spans (SIU prefetch/write-back), between pipeline stages.
-  std::size_t pipeline_depth = 4;
-
-  [[nodiscard]] std::size_t resolved_threads() const noexcept {
-    if (threads != 0) return threads;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-  }
-};
 
 struct ChunkStoreConfig {
   cache::IndexCacheParams cache_params;
@@ -77,13 +52,6 @@ struct ChunkStoreConfig {
   chunking::ChunkerConfig chunker;
 };
 
-struct SilResult {
-  std::uint64_t queried = 0;
-  std::uint64_t found_on_disk = 0;   // duplicates resolved by the index
-  std::uint64_t found_pending = 0;   // duplicates resolved by checking set
-  double seconds = 0.0;              // modeled index-device time
-};
-
 struct StoreResult {
   std::uint64_t new_chunks = 0;
   std::uint64_t new_bytes = 0;
@@ -92,48 +60,15 @@ struct StoreResult {
   std::vector<IndexEntry> entries;  // fp -> container, sorted by fingerprint
 };
 
-struct SiuResult {
-  std::uint64_t inserted = 0;
-  std::uint64_t scalings = 0;  // capacity-scaling passes triggered
-  double seconds = 0.0;        // modeled index-device time
-};
-
-class ChunkStore {
+class ChunkStore : public IndexPart {
  public:
-  /// `device_factory` mints fresh block devices for capacity scaling
-  /// (attached to the same disk model as the current index device).
-  using DeviceFactory =
-      std::function<std::unique_ptr<storage::BlockDevice>()>;
-
+  /// `device_factory` mints the devices capacity scaling grows the index
+  /// onto. `pool` is the server's shared dedup-2 pool; a standalone store
+  /// passes none and gets its own for `config.dedup2`.
   ChunkStore(index::DiskIndex idx, ChunkStoreConfig config,
              storage::ChunkRepository* repository, storage::ChunkLog* log,
-             DeviceFactory device_factory);
-
-  // ---- Index-part service (PSIL / PSIU run these on the part owner) ----
-
-  /// Sequential index lookup. `sorted_fps` must be ascending and within
-  /// this part's routing prefix. `found[i]` is set true when fps[i] is a
-  /// duplicate (on disk or pending SIU).
-  [[nodiscard]] Result<SilResult> sil(
-      const std::vector<Fingerprint>& sorted_fps,
-      std::vector<std::uint8_t>& found);
-
-  /// Queue freshly stored entries for a later SIU; they are immediately
-  /// visible to sil() and restores via the checking set.
-  void add_pending(std::span<const IndexEntry> entries);
-
-  /// Sequential index update: flush all pending entries. Runs capacity
-  /// scaling automatically if bucket neighbourhoods fill.
-  [[nodiscard]] Result<SiuResult> siu();
-
-  [[nodiscard]] std::uint64_t pending_count() const {
-    std::lock_guard lock(pending_mutex_);
-    return pending_.size();
-  }
-  [[nodiscard]] bool siu_due() const {
-    std::lock_guard lock(pending_mutex_);
-    return pending_.size() >= config_.siu_threshold;
-  }
+             DeviceFactory device_factory,
+             std::shared_ptr<Dedup2Pool> pool = nullptr);
 
   // ---- Data service (chunk-log owner) ----
 
@@ -147,10 +82,6 @@ class ChunkStore {
   void clear_log() { log_->clear(); }
 
   // ---- Restore path ----
-
-  /// Where does this fingerprint's chunk live? Checks the pending set
-  /// first, then the disk index (one random modeled I/O).
-  [[nodiscard]] Result<ContainerId> locate(const Fingerprint& fp) const;
 
   /// LPC-only probe: the chunk if its container is cached, else nullopt
   /// with no device I/O. Cluster restores try this on the serving server
@@ -169,18 +100,13 @@ class ChunkStore {
 
   // ---- Introspection ----
 
-  [[nodiscard]] const index::DiskIndex& index() const noexcept {
-    return index_;
-  }
-  [[nodiscard]] index::DiskIndex& index() noexcept { return index_; }
-
   /// Swap in a rebuilt index partition (elastic repartitioning commit).
   /// Pure in-memory: the replacement was fully built and verified by the
   /// prepare stage, so this cannot fail. The index cache's routing bits
   /// must keep agreeing with the index, so they are rebased together.
   void rebase_index(index::DiskIndex idx) noexcept {
-    index_ = std::move(idx);
-    config_.cache_params.skip_bits = index_.params().skip_bits;
+    index() = std::move(idx);
+    config_.cache_params.skip_bits = index().params().skip_bits;
   }
   [[nodiscard]] const cache::LpcCache& lpc() const noexcept { return lpc_; }
   [[nodiscard]] const ChunkStoreConfig& config() const noexcept {
@@ -191,27 +117,11 @@ class ChunkStore {
   }
 
  private:
-  index::DiskIndex index_;
   ChunkStoreConfig config_;
   storage::ChunkRepository* repository_;
   storage::ContainerManager containers_;
   storage::ChunkLog* log_;
-  DeviceFactory device_factory_;
   cache::LpcCache lpc_;
-
-  /// Lazily-built worker pool for the parallel SIL/SIU paths (never
-  /// created when dedup2.threads resolves to 1).
-  std::unique_ptr<ThreadPool> pool_;
-
-  /// The checking-fingerprint file: entries stored to containers but not
-  /// yet registered in the disk index (pending SIU).
-  /// Guarded by pending_mutex_: the pipelined run_dedup2 reads it from
-  /// the SIL stage while the store stage appends via add_pending.
-  mutable std::mutex pending_mutex_;
-  std::unordered_map<Fingerprint, ContainerId, FingerprintHash> pending_;
-
-  [[nodiscard]] ThreadPool* dedup2_pool();
-  [[nodiscard]] double index_clock_seconds() const;
 };
 
 }  // namespace debar::core

@@ -67,7 +67,7 @@ Cluster::Cluster(ClusterConfig config)
                                        &director_));
   }
   // Replicated index parts (DESIGN.md §5g): every partition copy the map
-  // places off the owner's ChunkStore is hosted as an IndexPartReplica.
+  // places off the owner's ChunkStore is hosted as a bare IndexPart.
   // Attach in (slot ascending, part ascending) order so the index-device
   // mint sequence is deterministic — identity maps reproduce the classic
   // "all primaries, then one replica per server" order exactly.
@@ -409,10 +409,8 @@ Status Cluster::migration_preconditions(std::size_t exclude) {
     for (std::size_t c = 0; c < map_.copy_count(); ++c) {
       const PartitionCopy& copy = map_.copy(p, c);
       if (copy.server == exclude) continue;
-      BackupServer& host = *servers_[copy.server];
       const std::uint64_t pending =
-          copy.via_store ? host.chunk_store().pending_count()
-                         : host.part_replica(p).pending_count();
+          servers_[copy.server]->part_index(p, copy.via_store).pending_count();
       if (pending != 0) {
         return {Errc::kInvalidArgument,
                 format("part {} copy on server {} has {} pending entries; "
@@ -493,7 +491,7 @@ Status Cluster::split() {
   for (std::size_t p = 0; p < map_.part_count(); ++p) {
     const PartitionCopy& source = map_.copy(p, 0);
     Result<std::vector<IndexEntry>> extracted = index::extract_sorted_entries(
-        servers_[source.server]->part_index(p, source.via_store));
+        servers_[source.server]->part_index(p, source.via_store).index());
     if (!extracted.ok()) return extracted.status();
     // The sorted stream cuts cleanly: fingerprint order groups the new
     // low half (2p) before the high half (2p+1), and each half stays
@@ -561,7 +559,7 @@ Status Cluster::drain(std::size_t slot) {
     const PartitionCopy& source = next.copy(p, 0);  // the promoted survivor
     const PartitionCopy& target = next.copy(p, 1);  // the replacement
     Result<std::vector<IndexEntry>> extracted = index::extract_sorted_entries(
-        servers_[source.server]->part_index(p, source.via_store));
+        servers_[source.server]->part_index(p, source.via_store).index());
     if (!extracted.ok()) return extracted.status();
     Result<std::vector<IndexEntry>> shipped =
         ship_entries(source.server, target.server, std::move(extracted).value(),

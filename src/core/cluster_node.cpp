@@ -13,16 +13,16 @@ namespace {
 
 /// Phase B, as one partition host runs it: fold the per-origin batches
 /// (inbox[s] is origin s's queries, in batch order) into sorted unique
-/// fingerprints, run SIL once, and resolve per-origin verdicts — a
-/// fingerprint found on disk or pending is a duplicate for every asker;
-/// a new fingerprint asked about by several origins is stored by the
-/// smallest origin id only, the rest are told "duplicate". Origin batches
-/// are sorted (take_undetermined sorts), so the verdict positions come out
-/// strictly ascending per origin, as VerdictBatch's delta encoding wants.
+/// fingerprints, run SIL once on the hosted copy, and resolve per-origin
+/// verdicts — a fingerprint found on disk or pending is a duplicate for
+/// every asker; a new fingerprint asked about by several origins is
+/// stored by the smallest origin id only, the rest are told "duplicate".
+/// Origin batches are sorted (take_undetermined sorts), so the verdict
+/// positions come out strictly ascending per origin, as VerdictBatch's
+/// delta encoding wants.
 /// `duplicates` accumulates the verdict count.
-template <typename Sil>
 Result<std::vector<net::VerdictBatch>> resolve_psil(
-    const Sil& sil_fn, const std::vector<net::FingerprintBatch>& inbox,
+    IndexPart& copy, const std::vector<net::FingerprintBatch>& inbox,
     std::uint64_t& duplicates) {
   const std::size_t n = inbox.size();
   std::vector<net::VerdictBatch> verdicts(n);
@@ -54,7 +54,7 @@ Result<std::vector<net::VerdictBatch>> resolve_psil(
   }
 
   std::vector<std::uint8_t> found;
-  Result<SilResult> sil = sil_fn(unique_fps, found);
+  Result<SilResult> sil = copy.sil(unique_fps, found);
   if (!sil.ok()) return sil.error();
 
   std::size_t qi = 0;
@@ -97,12 +97,12 @@ Status ClusterNode::check_slot() const {
             format("node {}: slot is drained in the map", k)};
   }
   // Replication (DESIGN.md §5g) is part of the wire protocol: every peer
-  // dual-writes phase E, so a node missing a replica the map assigns it
+  // dual-writes phase E, so a node missing a copy the map assigns it
   // would desync the round for everyone.
   for (const std::size_t p : map.parts_hosted_by(k)) {
-    if (!map.copy_on(p, k)->via_store && !server_->has_part_replica(p)) {
+    if (hosted_copy(p) == nullptr) {
       return {Errc::kInvalidArgument,
-              format("node {}: no replica attached for part {}", k, p)};
+              format("node {}: no copy attached for part {}", k, p)};
     }
   }
   return Status::Ok();
@@ -270,16 +270,8 @@ void ClusterNode::forget_origin(std::size_t origin) {
 Status ClusterNode::run_psil(const RoundView& view) {
   for (std::size_t p = 0; p < config_.map.part_count(); ++p) {
     if (psil_host(view, p) != config_.node) continue;
-    // The serving copy may be this server's own chunk store or a hosted
-    // replica — the map says which.
-    const bool via_store = config_.map.copy(p, view.host[p]).via_store;
-    const auto sil = [&](const std::vector<Fingerprint>& fps,
-                         std::vector<std::uint8_t>& found) {
-      return via_store ? server_->chunk_store().sil(fps, found)
-                       : server_->part_replica(p).sil(fps, found);
-    };
     Result<std::vector<net::VerdictBatch>> verdicts =
-        resolve_psil(sil, round_.queries[p], result_.duplicates);
+        resolve_psil(*hosted_copy(p), round_.queries[p], result_.duplicates);
     if (!verdicts.ok()) return verdicts.status();
     round_.verdicts_out[p] = std::move(verdicts).value();
   }
@@ -383,8 +375,9 @@ Status ClusterNode::commit_round(const RoundView& view, bool force_siu) {
   const std::size_t k = config_.node;
   const std::vector<std::size_t> hosted = map.parts_hosted_by(k);
   // Every copy applies the same per-(part, origin) batches in the same
-  // order, through the same serial bulk paths, so the device images of a
-  // partition's copies stay byte-identical while both live.
+  // order through the same IndexPart code, and the serial, sharded and
+  // pipelined scans it picks between write identical bytes, so the device
+  // images of a partition's copies stay byte-identical while both live.
   for (const std::size_t p : hosted) {
     for (const net::IndexEntryBatch& batch : round_.entries[p]) {
       add_pending(p, batch.entries);
@@ -401,16 +394,14 @@ Status ClusterNode::commit_round(const RoundView& view, bool force_siu) {
   server_->file_store().commit_undetermined();
   round_ = Round{};  // registered: nothing is left to abort
 
-  if (force_siu || server_->chunk_store().siu_due()) {
-    Result<SiuResult> siu = server_->chunk_store().siu();
-    if (!siu.ok()) return siu.status();
-    result_.ran_siu = true;
-  }
-  for (const std::size_t p : hosted) {
-    if (map.copy_on(p, k)->via_store) continue;
-    IndexPartReplica& replica = server_->part_replica(p);
-    if (!(force_siu || replica.siu_due())) continue;
-    if (Result<SiuResult> siu = replica.siu(); !siu.ok()) return siu.status();
+  // PSIU on every copy here, the ChunkStore first and then the hosted
+  // copies by ascending part: they share one index disk model, so the
+  // order fixes the modeled seek cost.
+  for (IndexPart* copy : server_->index_parts()) {
+    if (!(force_siu || copy->siu_due())) continue;
+    if (Result<SiuResult> siu = copy->siu(); !siu.ok()) return siu.status();
+    // ran_siu reports the ChunkStore's SIU, as single-server dedup-2 does.
+    if (copy == &server_->chunk_store()) result_.ran_siu = true;
   }
   return Status::Ok();
 }
@@ -429,11 +420,7 @@ void ClusterNode::abort_round() {
 
 void ClusterNode::add_pending(std::size_t part,
                               std::span<const IndexEntry> entries) {
-  if (config_.map.copy_on(part, config_.node)->via_store) {
-    server_->chunk_store().add_pending(entries);
-  } else {
-    server_->part_replica(part).add_pending(entries);
-  }
+  hosted_copy(part)->add_pending(entries);
 }
 
 // ---- Catch-up resync ----
@@ -468,39 +455,36 @@ Status ClusterNode::deliver_catch_up(std::size_t part, ClusterNode& holder) {
 
 Status ClusterNode::maintenance_preconditions() const {
   if (Status s = check_slot(); !s.ok()) return s;
-  const std::size_t k = config_.node;
-  if (server_->chunk_store().pending_count() > 0) {
-    return {Errc::kBusy,
-            format("node {}: {} SIU entries pending on the primary index",
-                   k, server_->chunk_store().pending_count())};
-  }
-  for (const std::size_t p : config_.map.parts_hosted_by(k)) {
-    if (config_.map.copy_on(p, k)->via_store) continue;
-    if (server_->part_replica(p).pending_count() > 0) {
+  for (const IndexPart* copy : server_->index_parts()) {
+    if (const std::uint64_t pending = copy->pending_count(); pending > 0) {
       return {Errc::kBusy,
-              format("node {}: {} SIU entries pending on the part-{} replica",
-                     k, server_->part_replica(p).pending_count(), p)};
+              format("node {}: {} SIU entries pending on an index copy",
+                     config_.node, pending)};
     }
   }
   return Status::Ok();
 }
 
+IndexPart* ClusterNode::hosted_copy(std::size_t part) const {
+  const PartitionCopy* copy = config_.map.copy_on(part, config_.node);
+  return copy == nullptr ? nullptr : server_->find_part(part, copy->via_store);
+}
+
 Result<std::vector<IndexEntry>> ClusterNode::classify_hosted(
     std::size_t part, std::span<const Fingerprint> sorted_live) const {
-  const PartitionCopy* copy = config_.map.copy_on(part, config_.node);
+  const IndexPart* copy = hosted_copy(part);
   if (copy == nullptr) {
     return Error{Errc::kInvalidArgument,
                  format("node {} hosts no copy of part {}", config_.node,
                         part)};
   }
-  return classify_live_entries(server_->part_index(part, copy->via_store),
-                               sorted_live);
+  return classify_live_entries(copy->index(), sorted_live);
 }
 
 Status ClusterNode::stage_copy(std::size_t part, bool via_store,
                                std::vector<IndexEntry> sorted) {
   Result<index::DiskIndex> idx = build_staged_index(
-      *server_, server_->part_index(part, via_store).params(),
+      *server_, server_->part_index(part, via_store).index().params(),
       std::move(sorted));
   if (!idx.ok()) return idx.status();
   maintenance_staged_.push_back({part, via_store, std::move(idx).value()});
@@ -674,19 +658,13 @@ Status ClusterNode::answer(net::EndpointId from, bool* done) {
 
 Result<ContainerId> ClusterNode::locate_hosted(const Fingerprint& fp) const {
   const std::size_t owner = config_.map.owner_of(fp);
-  const PartitionCopy* copy = config_.map.copy_on(owner, config_.node);
+  const IndexPart* copy = hosted_copy(owner);
   if (copy == nullptr) {
     return Error{Errc::kNotFound,
                  format("node {} hosts no copy of part {}", config_.node,
                         owner)};
   }
-  if (copy->via_store) return server_->chunk_store().locate(fp);
-  if (!server_->has_part_replica(owner)) {
-    return Error{Errc::kNotFound,
-                 format("node {} is missing its replica of part {}",
-                        config_.node, owner)};
-  }
-  return server_->part_replica(owner).locate(fp);
+  return copy->locate(fp);
 }
 
 Result<std::vector<Byte>> ClusterNode::read_chunk_via(

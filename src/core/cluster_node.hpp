@@ -258,7 +258,7 @@ class ClusterNode {
   [[nodiscard]] net::Deadline barrier_deadline() const {
     return net::Deadline::after(config_.round_timeout);
   }
-  /// This node's slot is live and hosts every replica the map assigns it.
+  /// This node's slot is live and hosts every copy the map assigns it.
   [[nodiscard]] Status check_slot() const;
   [[nodiscard]] std::size_t psil_host(const RoundView& view,
                                       std::size_t part) const {
@@ -276,6 +276,10 @@ class ClusterNode {
   template <typename Reply>
   [[nodiscard]] Result<Reply> ask(std::size_t peer, const net::Message& request,
                                   const PeerRelay& relay);
+  /// The copy of `part` this node hosts (its ChunkStore or a hosted
+  /// IndexPart, as the map says); nullptr when the map places none here
+  /// or the server lacks the copy it assigns.
+  [[nodiscard]] IndexPart* hosted_copy(std::size_t part) const;
   /// Classify sorted live fingerprints against whichever copy of `part`
   /// this node hosts.
   [[nodiscard]] Result<std::vector<IndexEntry>> classify_hosted(
@@ -286,9 +290,8 @@ class ClusterNode {
   /// Register entries on whichever copy of `part` this node hosts.
   void add_pending(std::size_t part, std::span<const IndexEntry> entries);
 
-  /// Locate over whichever copy of fp's partition this node hosts: the
-  /// primary (our own part) or our replica. kNotFound when we host
-  /// neither copy.
+  /// Locate over whichever copy of fp's partition this node hosts.
+  /// kNotFound when we host neither copy.
   [[nodiscard]] Result<ContainerId> locate_hosted(const Fingerprint& fp) const;
   /// Answer `from` until a frame ends the loop.
   [[nodiscard]] Status serve(net::EndpointId from);

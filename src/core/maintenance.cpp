@@ -50,27 +50,14 @@ Result<index::DiskIndex> build_staged_index(BackupServer& host,
   Result<index::DiskIndex> created =
       index::DiskIndex::create(host.mint_index_device(), params);
   if (!created.ok()) return created.error();
-  index::DiskIndex idx = std::move(created).value();
-  const std::uint64_t io_buckets = host.config().chunk_store.io_buckets;
-  std::vector<IndexEntry> entries = std::move(sorted);
-  while (!entries.empty()) {
-    std::uint64_t inserted = 0;
-    std::vector<std::size_t> failed;
-    Status status = idx.bulk_insert(entries, io_buckets, &inserted, &failed);
-    if (status.ok()) break;
-    if (status.code() != Errc::kFull) {
-      return Error{status.code(), status.message()};
-    }
-    // Same capacity-scaling loop as SIU: grow, retry what did not fit.
-    Result<index::DiskIndex> grown = idx.scaled(host.mint_index_device());
-    if (!grown.ok()) return grown.error();
-    idx = std::move(grown).value();
-    std::vector<IndexEntry> retry;
-    retry.reserve(failed.size());
-    for (const std::size_t i : failed) retry.push_back(entries[i]);
-    entries = std::move(retry);
+  // A staged copy grows exactly as SIU would grow a live one.
+  const std::unique_ptr<IndexPart> staged =
+      host.make_part(std::move(created).value());
+  if (Result<SiuResult> loaded = staged->insert_sorted(std::move(sorted));
+      !loaded.ok()) {
+    return loaded.error();
   }
-  return idx;
+  return std::move(staged->index());
 }
 
 Result<std::vector<IndexEntry>> classify_live_entries(

@@ -177,8 +177,8 @@ class MaintenanceJob {
     const index::DiskIndex& idx, std::span<const Fingerprint> sorted_live);
 
 /// Bulk-load `sorted` into a fresh index on one of `host`'s minted
-/// devices, growing on kFull with the same capacity-scaling loop SIU
-/// uses. The INSTALL kernel every backend shares (in-process cluster,
+/// devices, growing on kFull through IndexPart::insert_sorted — the
+/// capacity-scaling loop SIU runs. The INSTALL kernel every backend shares (in-process cluster,
 /// single server, SPMD peer) — determinism of the rebuilt image is what
 /// makes the two copies of a partition byte-identical.
 [[nodiscard]] Result<index::DiskIndex> build_staged_index(

@@ -11,8 +11,8 @@
 // PartitionMap is the single source of truth: for each partition it names an
 // ordered pair of copies (copies[0] is the preferred serving copy, copies[1]
 // the backup), each copy naming a server slot and whether that server serves
-// the partition through its primary ChunkStore index or through an attached
-// IndexPartReplica. A monotonically increasing epoch versions the map; wire
+// the partition through its ChunkStore or through a copy it hosts for another
+// server's part (both are core::IndexPart). A monotonically increasing epoch versions the map; wire
 // batches carry the epoch so a node holding a stale map rejects traffic from
 // the future (and vice versa) instead of silently mis-routing fingerprints.
 //
@@ -45,8 +45,7 @@
 namespace debar::core {
 
 /// One placement of a partition: which server slot holds it and whether that
-/// server serves it via its primary ChunkStore index (via_store) or via an
-/// attached IndexPartReplica.
+/// server serves it via its ChunkStore (via_store) or via a hosted IndexPart.
 struct PartitionCopy {
   std::size_t server = 0;
   bool via_store = true;

@@ -199,8 +199,8 @@ struct GcMarkReply {
 
 /// Maintenance install: the canonical post-GC entry stream of `part`,
 /// shipped to the host of one partition copy so it can stage a rebuilt
-/// index image. `via_store` selects which copy on that host (the
-/// ChunkStore-backed primary vs. an attached IndexPartReplica). Staged
+/// index image. `via_store` selects which copy on that host (its
+/// ChunkStore vs. a hosted IndexPart). Staged
 /// images become visible only on a later Control::kMaintenanceCommit.
 struct GcInstall {
   static constexpr MessageType kType = MessageType::kGcInstall;

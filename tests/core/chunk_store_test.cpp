@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/sha1.hpp"
 #include "storage/block_device.hpp"
@@ -10,20 +13,39 @@
 namespace debar::core {
 namespace {
 
+std::unique_ptr<storage::BlockDevice> mem_device() {
+  return std::make_unique<storage::MemBlockDevice>();
+}
+
+// The index-part cases (SIL, SIU, the checking set, capacity scaling,
+// locate) run on two shapes of the same service: the ChunkStore, and a
+// bare IndexPart as a server hosts for another server's part — no chunk
+// log, no repository.
 class ChunkStoreTest : public ::testing::Test {
  protected:
   ChunkStoreTest()
       : repo_(1),
-        log_(std::make_unique<storage::MemBlockDevice>()),
-        store_(make_index(), make_config(), &repo_, &log_,
-               [] { return std::make_unique<storage::MemBlockDevice>(); }) {}
+        log_(mem_device()),
+        store_(make_index(), make_config(), &repo_, &log_, mem_device),
+        bare_(make_bare(make_index())) {}
 
-  static index::DiskIndex make_index() {
+  static index::DiskIndex make_index(unsigned prefix_bits = 8) {
     auto idx = index::DiskIndex::create(
-        std::make_unique<storage::MemBlockDevice>(),
-        {.prefix_bits = 8, .blocks_per_bucket = 2});
+        mem_device(), {.prefix_bits = prefix_bits, .blocks_per_bucket = 2});
     EXPECT_TRUE(idx.ok());
     return std::move(idx).value();
+  }
+
+  static std::unique_ptr<IndexPart> make_bare(index::DiskIndex idx) {
+    const ChunkStoreConfig cfg = make_config();
+    return std::make_unique<IndexPart>(
+        std::move(idx), cfg.io_buckets, cfg.siu_threshold, mem_device,
+        std::make_shared<Dedup2Pool>(cfg.dedup2));
+  }
+
+  /// Both shapes, named for failure messages.
+  std::vector<std::pair<const char*, IndexPart*>> shapes() {
+    return {{"chunk store", &store_}, {"bare index part", bare_.get()}};
   }
 
   static ChunkStoreConfig make_config() {
@@ -73,19 +95,32 @@ class ChunkStoreTest : public ::testing::Test {
     }
   }
 
+  /// Entries for `ids`, as phase E delivers them to a hosted copy.
+  std::vector<IndexEntry> entries(const std::vector<std::uint64_t>& ids) {
+    std::vector<IndexEntry> out;
+    for (const std::uint64_t i : ids) {
+      out.push_back({fp(i), ContainerId{i + 1}});
+    }
+    return out;
+  }
+
   storage::ChunkRepository repo_;
   storage::ChunkLog log_;
   ChunkStore store_;
+  std::unique_ptr<IndexPart> bare_;
 };
 
 TEST_F(ChunkStoreTest, SilFindsNothingInEmptyIndex) {
   std::vector<Fingerprint> fps = {fp(1), fp(2)};
   std::sort(fps.begin(), fps.end());
-  std::vector<std::uint8_t> found;
-  const auto r = store_.sil(fps, found);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().found_on_disk, 0u);
-  EXPECT_EQ(found, (std::vector<std::uint8_t>{0, 0}));
+  for (const auto& [shape, part] : shapes()) {
+    SCOPED_TRACE(shape);
+    std::vector<std::uint8_t> found;
+    const auto r = part->sil(fps, found);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().found_on_disk, 0u);
+    EXPECT_EQ(found, (std::vector<std::uint8_t>{0, 0}));
+  }
 }
 
 TEST_F(ChunkStoreTest, FullRoundStoresNewChunksAndRegistersThem) {
@@ -160,6 +195,26 @@ TEST_F(ChunkStoreTest, CheckingSetShieldsAsynchronousSiu) {
   ASSERT_TRUE(siu.ok());
   EXPECT_EQ(siu.value().inserted, 3u);
   EXPECT_EQ(store_.index().entry_count(), 3u);
+
+  // A bare part fed by phase E shields the same way: SIL sees pending
+  // entries, locate serves them before SIU, and one SIU registers all.
+  IndexPart& bare = *bare_;
+  bare.add_pending(entries({1, 2}));
+  std::vector<std::uint8_t> bare_found;
+  const auto bare_sil = bare.sil(sorted, bare_found);
+  ASSERT_TRUE(bare_sil.ok());
+  EXPECT_EQ(bare_sil.value().found_pending, 1u);
+  EXPECT_EQ(bare_sil.value().found_on_disk, 0u);
+  EXPECT_EQ(bare_found, found);
+  ASSERT_TRUE(bare.locate(fp(2)).ok());
+  EXPECT_EQ(bare.locate(fp(2)).value(), ContainerId{3});
+  bare.add_pending(entries({3}));
+  const auto bare_siu = bare.siu();
+  ASSERT_TRUE(bare_siu.ok());
+  EXPECT_EQ(bare_siu.value().inserted, 3u);
+  EXPECT_EQ(bare.pending_count(), 0u);
+  EXPECT_EQ(bare.index().entry_count(), 3u);
+  EXPECT_EQ(bare.locate(fp(2)).value(), ContainerId{3});
 }
 
 TEST_F(ChunkStoreTest, IntraLogDuplicatesStoredOnce) {
@@ -187,9 +242,12 @@ TEST_F(ChunkStoreTest, OrphanNewFingerprintDetected) {
 }
 
 TEST_F(ChunkStoreTest, LocateMissesAreNotFound) {
-  const auto r = store_.locate(fp(1234));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, Errc::kNotFound);
+  for (const auto& [shape, part] : shapes()) {
+    SCOPED_TRACE(shape);
+    const auto r = part->locate(fp(1234));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, Errc::kNotFound);
+  }
 }
 
 TEST_F(ChunkStoreTest, RestoreUsesLpcPrefetch) {
@@ -211,34 +269,43 @@ TEST_F(ChunkStoreTest, RestoreUsesLpcPrefetch) {
 
 TEST_F(ChunkStoreTest, SiuTriggersCapacityScalingWhenFull) {
   // Small index: 4 buckets x 40 = 160 entries. Insert 200.
-  auto small = index::DiskIndex::create(
-      std::make_unique<storage::MemBlockDevice>(),
-      {.prefix_bits = 2, .blocks_per_bucket = 2});
-  ASSERT_TRUE(small.ok());
-  ChunkStoreConfig cfg = make_config();
-  storage::ChunkLog log2(std::make_unique<storage::MemBlockDevice>());
-  ChunkStore store2(std::move(small).value(), cfg, &repo_, &log2,
-                    [] { return std::make_unique<storage::MemBlockDevice>(); });
+  storage::ChunkLog log2(mem_device());
+  ChunkStore store2(make_index(/*prefix_bits=*/2), make_config(), &repo_,
+                    &log2, mem_device);
+  const std::unique_ptr<IndexPart> bare2 =
+      make_bare(make_index(/*prefix_bits=*/2));
 
-  std::vector<IndexEntry> entries;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    entries.push_back({fp(i), ContainerId{i + 1}});
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t i = 0; i < 200; ++i) ids.push_back(i);
+  std::vector<std::vector<Byte>> images;
+  for (IndexPart* part : {static_cast<IndexPart*>(&store2), bare2.get()}) {
+    part->add_pending(entries(ids));
+    const auto siu = part->siu();
+    ASSERT_TRUE(siu.ok()) << siu.error().to_string();
+    EXPECT_GE(siu.value().scalings, 1u);
+    EXPECT_EQ(siu.value().inserted, 200u);
+    EXPECT_GE(part->index().params().prefix_bits, 3u);
+    for (const std::uint64_t i : ids) {
+      EXPECT_TRUE(part->index().lookup(fp(i)).ok()) << i;
+    }
+    std::vector<Byte>& image =
+        images.emplace_back(part->index().device().size());
+    ASSERT_TRUE(part->index()
+                    .device()
+                    .read(0, std::span<Byte>(image.data(), image.size()))
+                    .ok());
   }
-  store2.add_pending(std::span<const IndexEntry>(entries));
-  const auto siu = store2.siu();
-  ASSERT_TRUE(siu.ok()) << siu.error().to_string();
-  EXPECT_GE(siu.value().scalings, 1u);
-  EXPECT_EQ(siu.value().inserted, 200u);
-  EXPECT_GE(store2.index().params().prefix_bits, 3u);
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    EXPECT_TRUE(store2.index().lookup(fp(i)).ok()) << i;
-  }
+  // Same entries, same params: both shapes grow to the same image.
+  EXPECT_EQ(images[0], images[1]);
 }
 
 TEST_F(ChunkStoreTest, SiuOnEmptyPendingIsNoop) {
-  const auto r = store_.siu();
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().inserted, 0u);
+  for (const auto& [shape, part] : shapes()) {
+    SCOPED_TRACE(shape);
+    const auto r = part->siu();
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().inserted, 0u);
+  }
 }
 
 }  // namespace

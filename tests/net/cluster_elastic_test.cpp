@@ -220,10 +220,8 @@ std::vector<std::vector<Byte>> container_images(Cluster& cluster) {
 std::vector<Byte> copy_image(Cluster& cluster, std::size_t part,
                              std::size_t which) {
   const PartitionCopy& placed = cluster.partition_map().copy(part, which);
-  BackupServer& host = cluster.server(placed.server);
-  index::DiskIndex& idx = placed.via_store
-                              ? host.chunk_store().index()
-                              : host.part_replica(part).index();
+  index::DiskIndex& idx =
+      cluster.server(placed.server).part_index(part, placed.via_store).index();
   std::vector<Byte> out(idx.device().size());
   EXPECT_TRUE(idx.device().read(0, std::span<Byte>(out.data(), out.size())).ok());
   return out;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/sha1.hpp"
@@ -28,25 +29,36 @@ Fingerprint fp(std::uint64_t i) { return Sha1::hash_counter(i); }
 /// replica, in factory-call order: primaries 0..n-1, then replicas
 /// 0..n-1) stay inspectable for byte-level comparison.
 struct FailoverRig {
+  /// Nodes commit concurrently, so capacity scaling may mint devices on
+  /// several threads at once.
+  struct Minted {
+    std::mutex mutex;
+    std::vector<storage::MemBlockDevice*> devices;
+  };
+
   net::FaultyTransport* faulty = nullptr;  // owned by the cluster's stack
-  std::shared_ptr<std::vector<storage::MemBlockDevice*>> devices =
-      std::make_shared<std::vector<storage::MemBlockDevice*>>();
+  std::shared_ptr<Minted> minted = std::make_shared<Minted>();
   std::unique_ptr<Cluster> cluster;
 
-  explicit FailoverRig(unsigned w) {
+  /// `dedup2_threads` 0 resolves to one per core.
+  explicit FailoverRig(unsigned w, unsigned prefix_bits = 6,
+                       std::uint64_t io_buckets = 8,
+                       std::size_t dedup2_threads = 0) {
     ClusterConfig cfg;
     cfg.routing_bits = w;
     cfg.repository_nodes = 2;
-    cfg.server_config.index_params = {.prefix_bits = 6,
+    cfg.server_config.index_params = {.prefix_bits = prefix_bits,
                                       .blocks_per_bucket = 2};
     cfg.server_config.filter_params = {.hash_bits = 8, .capacity = 100000};
     cfg.server_config.chunk_store.cache_params = {.hash_bits = 4,
                                                   .capacity = 1000000};
-    cfg.server_config.chunk_store.io_buckets = 8;
+    cfg.server_config.chunk_store.io_buckets = io_buckets;
+    cfg.server_config.chunk_store.dedup2.threads = dedup2_threads;
     cfg.server_config.chunk_store.siu_threshold = 1;
-    cfg.server_config.index_device_factory = [captured = devices] {
+    cfg.server_config.index_device_factory = [captured = minted] {
       auto device = std::make_unique<storage::MemBlockDevice>();
-      captured->push_back(device.get());
+      std::lock_guard lock(captured->mutex);
+      captured->devices.push_back(device.get());
       return device;
     };
     auto factory = std::make_shared<net::FaultyTransportFactory>(
@@ -57,12 +69,12 @@ struct FailoverRig {
   }
 
   [[nodiscard]] std::vector<Byte> primary_image(std::size_t k) const {
-    const ByteSpan bytes = (*devices)[k]->contents();
+    const ByteSpan bytes = minted->devices[k]->contents();
     return {bytes.begin(), bytes.end()};
   }
   [[nodiscard]] std::vector<Byte> replica_image(std::size_t k) const {
     const ByteSpan bytes =
-        (*devices)[cluster->server_count() + k]->contents();
+        minted->devices[cluster->server_count() + k]->contents();
     return {bytes.begin(), bytes.end()};
   }
 };
@@ -82,6 +94,17 @@ void backup_stream(Cluster& cluster, std::size_t server, std::uint64_t job,
   }
   fs.end_file();
   ASSERT_TRUE(fs.end_job().ok());
+}
+
+/// The synthetic bytes backup_stream sends for fingerprints [first,
+/// first + count).
+std::vector<Byte> stream_bytes(std::uint64_t first, std::uint64_t count) {
+  std::vector<Byte> out;
+  for (std::uint64_t i = first; i < first + count; ++i) {
+    const auto payload = BackupEngine::synthetic_payload(fp(i), 512);
+    out.insert(out.end(), payload.begin(), payload.end());
+  }
+  return out;
 }
 
 std::vector<Byte> flatten(const Dataset& dataset) {
@@ -187,12 +210,67 @@ TEST(ClusterFailoverTest, RejoinedServerCatchesUpAndServesRestores) {
   rig.faulty->set_unreachable(0, true);
   Result<Dataset> restored = cluster.restore(job, 2, /*via=*/1);
   ASSERT_TRUE(restored.ok()) << restored.error().to_string();
-  std::vector<Byte> expected;
-  for (std::uint64_t i = 100; i < 160; ++i) {
-    const auto payload = BackupEngine::synthetic_payload(fp(i), 512);
-    expected.insert(expected.end(), payload.begin(), payload.end());
+  EXPECT_EQ(flatten(restored.value()), stream_bytes(100, 60));
+}
+
+TEST(ClusterFailoverTest, ReplicaSiuScalesInStepWithThePrimary) {
+  // A 4-bucket index part holds ~160 entries, so both generations below
+  // overflow it and every copy's SIU must scale capacity. One copy of
+  // each part is its owner's ChunkStore, the other a hosted IndexPart;
+  // both must grow to the same image, at either thread count. Three-
+  // bucket I/O spans keep several spans in play, so at 4 threads the
+  // scans really shard and pipeline once the index has grown.
+  std::vector<std::vector<Byte>> serial_images;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "dedup2.threads=" << threads);
+    FailoverRig rig(/*w=*/1, /*prefix_bits=*/2, /*io_buckets=*/3, threads);
+    Cluster& cluster = *rig.cluster;
+    const std::uint64_t job0 = cluster.director().define_job("c0", "d");
+    const std::uint64_t job1 = cluster.director().define_job("c1", "d");
+
+    // One origin only: origins storing concurrently in phase D would
+    // race for container ids, and the images embed them.
+    backup_stream(cluster, 0, job0, 0, 400);
+    backup_stream(cluster, 0, job1, 300, 400);  // overlaps job0's tail
+    ASSERT_TRUE(cluster.run_dedup2(true).ok());
+    backup_stream(cluster, 0, job0, 700, 300);
+    ASSERT_TRUE(cluster.run_dedup2(true).ok());
+
+    std::vector<std::vector<Byte>> images;
+    const PartitionMap& map = cluster.partition_map();
+    for (std::size_t p = 0; p < map.part_count(); ++p) {
+      SCOPED_TRACE(testing::Message() << "part " << p);
+      for (std::size_t c = 0; c < map.copy_count(); ++c) {
+        const PartitionCopy& placed = map.copy(p, c);
+        index::DiskIndex& idx =
+            cluster.server(placed.server)
+                .part_index(p, placed.via_store)
+                .index();
+        EXPECT_GT(idx.params().prefix_bits, 2u) << "copy " << c;
+        std::vector<Byte> image(idx.device().size());
+        EXPECT_TRUE(
+            idx.device().read(0, std::span<Byte>(image.data(), image.size()))
+                .ok());
+        images.push_back(std::move(image));
+      }
+      EXPECT_EQ(images[images.size() - 2], images.back());
+    }
+    if (serial_images.empty()) {
+      serial_images = images;
+    } else {
+      EXPECT_EQ(images, serial_images);
+    }
+
+    for (std::size_t via = 0; via < cluster.server_count(); ++via) {
+      Result<Dataset> v1 = cluster.restore(job0, 1, via);
+      Result<Dataset> v2 = cluster.restore(job0, 2, via);
+      Result<Dataset> other = cluster.restore(job1, 1, via);
+      ASSERT_TRUE(v1.ok() && v2.ok() && other.ok()) << "via " << via;
+      EXPECT_EQ(flatten(v1.value()), stream_bytes(0, 400));
+      EXPECT_EQ(flatten(v2.value()), stream_bytes(700, 300));
+      EXPECT_EQ(flatten(other.value()), stream_bytes(300, 400));
+    }
   }
-  EXPECT_EQ(flatten(restored.value()), expected);
 }
 
 TEST(ClusterFailoverTest, WireLocateFailsOverToTheBackupHolder) {

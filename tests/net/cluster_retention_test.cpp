@@ -97,12 +97,11 @@ std::vector<Byte> device_image(const index::DiskIndex& idx) {
 std::vector<Byte> copy_image(Cluster& cluster, std::size_t part,
                              std::size_t which) {
   const PartitionCopy& copy = cluster.partition_map().copy(part, which);
-  BackupServer& host = cluster.server(copy.server);
-  if (copy.via_store) return device_image(host.chunk_store().index());
-  EXPECT_TRUE(host.has_part_replica(part))
-      << "part " << part << " copy " << which;
-  if (!host.has_part_replica(part)) return {};
-  return device_image(host.part_replica(part).index());
+  const IndexPart* held =
+      cluster.server(copy.server).find_part(part, copy.via_store);
+  EXPECT_NE(held, nullptr) << "part " << part << " copy " << which;
+  if (held == nullptr) return {};
+  return device_image(held->index());
 }
 
 TEST(ClusterRetentionTest, EveryLiveVersionRestoresByteIdentical) {
