@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,28 +101,28 @@ double one_pass(const std::vector<std::vector<Byte>>& corpus,
       .count();
 }
 
-template <class ChunkFn, class HashFn>
-Lane run_lane(const std::string& name, const char* algo, const char* simd,
-              const std::vector<std::vector<Byte>>& corpus, ChunkFn&& chunk_fn,
-              HashFn&& hash_fn, LaneOutput& out) {
+/// One lane under measurement: its figures, one timed pass over the
+/// corpus, and the output of its latest pass.
+struct LaneRun {
   Lane lane;
-  lane.name = name;
-  lane.algo = algo;
-  lane.simd = simd;
-  lane.best_seconds = 1e30;
-  std::uint64_t total_bytes = 0;
-  for (const auto& seg : corpus) total_bytes += seg.size();
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double secs = one_pass(corpus, chunk_fn, hash_fn, out);
-    if (secs < lane.best_seconds) lane.best_seconds = secs;
-  }
-  lane.mb_per_s =
-      static_cast<double>(total_bytes) / (1e6 * lane.best_seconds);
-  for (const auto& b : out.bounds) lane.chunks += b.size();
-  std::printf("%-12s %8.1f MB/s  (%llu chunks, best of %d)\n",
-              lane.name.c_str(), lane.mb_per_s,
-              static_cast<unsigned long long>(lane.chunks), kReps);
-  return lane;
+  std::function<double(LaneOutput&)> pass;
+  LaneOutput out;
+};
+
+template <class ChunkFn, class HashFn>
+LaneRun make_lane(const std::string& name, const char* algo,
+                  const char* simd,
+                  const std::vector<std::vector<Byte>>& corpus,
+                  ChunkFn chunk_fn, HashFn hash_fn) {
+  LaneRun run;
+  run.lane.name = name;
+  run.lane.algo = algo;
+  run.lane.simd = simd;
+  run.lane.best_seconds = 1e30;
+  run.pass = [&corpus, chunk_fn, hash_fn](LaneOutput& out) {
+    return one_pass(corpus, chunk_fn, hash_fn, out);
+  };
+  return run;
 }
 
 struct Measurement {
@@ -133,13 +134,12 @@ struct Measurement {
 
 Measurement measure() {
   const std::vector<std::vector<Byte>> corpus = make_corpus();
-  Measurement m;
+  std::vector<LaneRun> runs;
 
   // The seed hot path: byte-at-a-time Rabin + one streaming SHA-1 per
   // chunk (exactly what BackupEngine did before this lane existed).
-  LaneOutput rabin_out;
   chunking::RabinChunker rabin;
-  m.lanes.push_back(run_lane(
+  runs.push_back(make_lane(
       "rabin-scalar", "rabin", "scalar", corpus,
       [&](ByteSpan data) { return rabin.chunk(data); },
       [](const std::vector<ByteSpan>& spans) {
@@ -147,33 +147,53 @@ Measurement measure() {
         fps.reserve(spans.size());
         for (const ByteSpan s : spans) fps.push_back(Sha1::hash(s));
         return fps;
-      },
-      rabin_out));
+      }));
 
   // Gear lanes: scalar reference first, then each supported SIMD lane,
   // all with the matching hash_batch policy.
-  LaneOutput gear_ref;
   std::vector<SimdPolicy> policies = {SimdPolicy::kScalar};
   for (SimdPolicy p : {SimdPolicy::kSse2, SimdPolicy::kAvx2}) {
     if (simd_supported(p)) policies.push_back(p);
   }
-  double gear_scalar_mbs = 0;
+  std::vector<std::unique_ptr<chunking::GearChunker>> gears;
   for (const SimdPolicy policy : policies) {
     chunking::GearParams params;
     params.simd = policy;
-    chunking::GearChunker gear(params);
-    LaneOutput out;
-    const Lane lane = run_lane(
+    gears.push_back(std::make_unique<chunking::GearChunker>(params));
+    chunking::GearChunker* gear = gears.back().get();
+    runs.push_back(make_lane(
         std::string("gear-") + simd_name(policy), "gear", simd_name(policy),
-        corpus, [&](ByteSpan data) { return gear.chunk(data); },
-        [&](const std::vector<ByteSpan>& spans) {
+        corpus, [gear](ByteSpan data) { return gear->chunk(data); },
+        [policy](const std::vector<ByteSpan>& spans) {
           return Sha1::hash_batch(spans, policy);
-        },
-        out);
-    if (policy == SimdPolicy::kScalar) {
-      gear_ref = std::move(out);
-      gear_scalar_mbs = lane.mb_per_s;
-    } else if (out.bounds != gear_ref.bounds || out.fps != gear_ref.fps) {
+        }));
+  }
+
+  // Interleaved repetitions: each rep runs every lane once, so every
+  // lane's best-of sees the same stretches of host load and a noisy
+  // neighbour cannot land on one lane's reps only.
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (LaneRun& run : runs) {
+      const double secs = run.pass(run.out);
+      if (secs < run.lane.best_seconds) run.lane.best_seconds = secs;
+    }
+  }
+
+  std::uint64_t total_bytes = 0;
+  for (const auto& seg : corpus) total_bytes += seg.size();
+  const LaneRun& gear_ref = runs[1];  // gear-scalar, the first gear lane
+  Measurement m;
+  for (LaneRun& run : runs) {
+    Lane& lane = run.lane;
+    lane.mb_per_s =
+        static_cast<double>(total_bytes) / (1e6 * lane.best_seconds);
+    for (const auto& b : run.out.bounds) lane.chunks += b.size();
+    std::printf("%-12s %8.1f MB/s  (%llu chunks, best of %d)\n",
+                lane.name.c_str(), lane.mb_per_s,
+                static_cast<unsigned long long>(lane.chunks), kReps);
+    if (std::string(lane.algo) == "gear" &&
+        (run.out.bounds != gear_ref.out.bounds ||
+         run.out.fps != gear_ref.out.fps)) {
       // The equivalence battery's acceptance bar, enforced on the bench
       // corpus too: lanes may only differ in speed.
       std::fprintf(stderr, "%s: boundaries/fingerprints differ from scalar\n",
@@ -184,6 +204,7 @@ Measurement measure() {
   }
 
   const double rabin_mbs = m.lanes.front().mb_per_s;
+  const double gear_scalar_mbs = gear_ref.lane.mb_per_s;
   for (const Lane& lane : m.lanes) {
     if (std::string(lane.algo) != "gear") continue;
     const double speedup = lane.mb_per_s / rabin_mbs;

@@ -1,10 +1,25 @@
 #include "storage/block_device.hpp"
 
-#include <algorithm>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
+#include <string>
+#include <system_error>
+
 #include "common/fmt.hpp"
 
 namespace debar::storage {
+
+namespace {
+
+std::string errno_text() {
+  return std::error_code(errno, std::generic_category()).message();
+}
+
+}  // namespace
 
 Status MemBlockDevice::read(std::uint64_t offset, std::span<Byte> out) {
   if (offset + out.size() > data_.size()) {
@@ -32,76 +47,77 @@ Status MemBlockDevice::resize(std::uint64_t bytes) {
 
 Result<std::unique_ptr<FileBlockDevice>> FileBlockDevice::open(
     const std::filesystem::path& path) {
-  // Create the file if it doesn't exist, then reopen read/write binary.
-  if (!std::filesystem::exists(path)) {
-    std::ofstream create(path, std::ios::binary);
-    if (!create) {
-      return Error{Errc::kIoError,
-                   debar::format("cannot create {}", path.string())};
-    }
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return Error{Errc::kIoError, debar::format("cannot open {}: {}",
+                                               path.string(), errno_text())};
   }
-  std::fstream stream(path,
-                      std::ios::in | std::ios::out | std::ios::binary);
-  if (!stream) {
-    return Error{Errc::kIoError, debar::format("cannot open {}", path.string())};
-  }
-  // Non-throwing overload: file_size fails on non-regular files (pipes,
-  // char devices), which are not valid backing stores anyway.
-  std::error_code ec;
-  const std::uint64_t size = std::filesystem::file_size(path, ec);
-  if (ec) {
+  // Pipes and char devices have no size and are not valid backing stores.
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
     return Error{Errc::kIoError,
-                 debar::format("cannot size {}: {}", path.string(),
-                               ec.message())};
+                 debar::format("cannot size {}: not a regular file",
+                               path.string())};
   }
-  return std::unique_ptr<FileBlockDevice>(
-      new FileBlockDevice(path, std::move(stream), size));
+  return std::unique_ptr<FileBlockDevice>(new FileBlockDevice(
+      path, fd, static_cast<std::uint64_t>(st.st_size)));
 }
 
+FileBlockDevice::~FileBlockDevice() { ::close(fd_); }
+
 Status FileBlockDevice::read(std::uint64_t offset, std::span<Byte> out) {
-  std::lock_guard lock(io_mutex_);
-  if (offset + out.size() > size_) {
+  const std::uint64_t size = this->size();
+  if (offset + out.size() > size) {
     return {Errc::kIoError,
             debar::format("read [{}, {}) past device size {}", offset,
-                        offset + out.size(), size_)};
+                        offset + out.size(), size)};
   }
-  stream_.clear();
-  stream_.seekg(static_cast<std::streamoff>(offset));
-  stream_.read(reinterpret_cast<char*>(out.data()),
-               static_cast<std::streamsize>(out.size()));
-  if (!stream_) {
-    return {Errc::kIoError, debar::format("short read at {}", offset)};
+  for (std::size_t done = 0; done < out.size();) {
+    const ssize_t n = ::pread(fd_, out.data() + done, out.size() - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      return {Errc::kIoError,
+              debar::format("read at {}: {}", offset + done, errno_text())};
+    }
+    // EOF inside the range: the file shrank behind the device's back.
+    if (n == 0) {
+      return {Errc::kIoError, debar::format("short read at {}", offset)};
+    }
+    done += static_cast<std::size_t>(n);
   }
   account(offset, out.size());
   return Status::Ok();
 }
 
 Status FileBlockDevice::write(std::uint64_t offset, ByteSpan data) {
-  std::lock_guard lock(io_mutex_);
-  stream_.clear();
-  if (offset > size_) {
-    // Zero-fill the gap so reads of the hole are well-defined.
-    stream_.seekp(static_cast<std::streamoff>(size_));
-    const std::vector<char> zeros(
-        static_cast<std::size_t>(offset - size_), 0);
-    stream_.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  for (std::size_t done = 0; done < data.size();) {
+    const ssize_t n = ::pwrite(fd_, data.data() + done, data.size() - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      return {Errc::kIoError,
+              debar::format("short write at {}: {}", offset + done,
+                            n < 0 ? errno_text() : "no progress")};
+    }
+    done += static_cast<std::size_t>(n);
   }
-  stream_.seekp(static_cast<std::streamoff>(offset));
-  stream_.write(reinterpret_cast<const char*>(data.data()),
-                static_cast<std::streamsize>(data.size()));
-  // Flush before declaring victory: with a buffered stream, a device
-  // error (e.g. ENOSPC) may only surface at flush time.
-  stream_.flush();
-  if (!stream_) {
-    return {Errc::kIoError, debar::format("short write at {}", offset)};
+  // Raise the high-water mark; a zero-length write transfers nothing and
+  // leaves it alone.
+  if (!data.empty()) {
+    const std::uint64_t end = offset + data.size();
+    std::uint64_t seen = size_.load();
+    while (end > seen && !size_.compare_exchange_weak(seen, end)) {
+    }
   }
-  size_ = std::max(size_, offset + data.size());
   account(offset, data.size());
   return Status::Ok();
 }
 
 Status FileBlockDevice::resize(std::uint64_t bytes) {
-  std::lock_guard lock(io_mutex_);
+  // By path, not ftruncate(fd_): a backing file removed behind the
+  // device's back must fail the resize rather than grow an orphan inode.
   std::error_code ec;
   std::filesystem::resize_file(path_, bytes, ec);
   if (ec) {
@@ -109,7 +125,7 @@ Status FileBlockDevice::resize(std::uint64_t bytes) {
             debar::format("resize {} to {}: {}", path_.string(), bytes,
                         ec.message())};
   }
-  size_ = bytes;
+  size_.store(bytes);
   return Status::Ok();
 }
 

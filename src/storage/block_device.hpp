@@ -4,15 +4,14 @@
 // in the paper. Here a device is a flat byte address space with explicit
 // read/write-at-offset, optionally bound to a sim::DiskModel that accounts
 // the time each access would take on the modeled hardware (sequential
-// continuation vs seek). Two implementations: growable in-memory (tests,
-// benches) and file-backed (examples that persist real data).
+// continuation vs seek). Two implementations: growable in-memory and
+// file-backed.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -74,25 +73,27 @@ class MemBlockDevice final : public BlockDevice {
   std::vector<Byte> data_;
 };
 
-/// File-backed device for examples that persist a repository across runs.
-/// Read/write/resize are internally serialized: the single fstream's seek
-/// cursor is shared state, and the parallel dedup-2 scans issue device I/O
-/// from several threads at once. (MemBlockDevice needs no lock — its
-/// backing buffer is pre-sized by the index and the parallel scans touch
-/// disjoint byte ranges.)
+/// File-backed device: a raw file descriptor driven by pread/pwrite.
+/// Positional I/O carries no shared seek cursor, so the parallel dedup-2
+/// scans read and write disjoint ranges from several threads with no
+/// device lock. The size is an atomic high-water mark; a write past the
+/// end leaves a hole that reads back as zeros. resize() must not race
+/// with I/O.
 class FileBlockDevice final : public BlockDevice {
  public:
-  /// Open (creating if absent) the backing file.
+  /// Open (creating if absent) the backing file. Fails unless it is a
+  /// regular file.
   [[nodiscard]] static Result<std::unique_ptr<FileBlockDevice>> open(
       const std::filesystem::path& path);
+
+  ~FileBlockDevice() override;
+  FileBlockDevice(const FileBlockDevice&) = delete;
+  FileBlockDevice& operator=(const FileBlockDevice&) = delete;
 
   [[nodiscard]] Status read(std::uint64_t offset,
                             std::span<Byte> out) override;
   [[nodiscard]] Status write(std::uint64_t offset, ByteSpan data) override;
-  [[nodiscard]] std::uint64_t size() const override {
-    std::lock_guard lock(io_mutex_);
-    return size_;
-  }
+  [[nodiscard]] std::uint64_t size() const override { return size_.load(); }
   [[nodiscard]] Status resize(std::uint64_t bytes) override;
 
   [[nodiscard]] const std::filesystem::path& path() const noexcept {
@@ -100,14 +101,12 @@ class FileBlockDevice final : public BlockDevice {
   }
 
  private:
-  FileBlockDevice(std::filesystem::path path, std::fstream stream,
-                  std::uint64_t size)
-      : path_(std::move(path)), stream_(std::move(stream)), size_(size) {}
+  FileBlockDevice(std::filesystem::path path, int fd, std::uint64_t size)
+      : path_(std::move(path)), fd_(fd), size_(size) {}
 
   std::filesystem::path path_;
-  mutable std::mutex io_mutex_;
-  std::fstream stream_;
-  std::uint64_t size_ = 0;
+  int fd_;
+  std::atomic<std::uint64_t> size_;
 };
 
 }  // namespace debar::storage

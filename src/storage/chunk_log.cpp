@@ -1,13 +1,20 @@
 #include "storage/chunk_log.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include "common/fmt.hpp"
+#include <cstring>
 #include <vector>
 
+#include "common/fmt.hpp"
 #include "common/serial.hpp"
 #include "storage/io_retry.hpp"
 
 namespace debar::storage {
+
+namespace {
+/// Replay read size: the log is read in aligned windows of this many bytes.
+constexpr std::uint64_t kReplayWindow = 1 << 20;
+}  // namespace
 
 ChunkLog::ChunkLog(std::unique_ptr<BlockDevice> device)
     : device_(std::move(device)) {
@@ -35,29 +42,57 @@ Status ChunkLog::append(const Fingerprint& fp, ByteSpan chunk) {
 }
 
 Status ChunkLog::scan(const ScanCallback& cb) const {
-  std::uint64_t pos = 0;
-  std::vector<Byte> header(Fingerprint::kSize + 4);
-  std::vector<Byte> payload;
-  for (std::uint64_t i = 0; i < count_; ++i) {
-    if (Status s = read_with_retry(*device_, pos, std::span<Byte>(header));
-        !s.ok()) {
-      return s;
+  constexpr std::size_t kHeader = Fingerprint::kSize + 4;
+  // buf[begin, end) holds log bytes not yet replayed; `next` is the log
+  // offset of the first byte not yet read. Each read continues exactly
+  // where the previous one ended, so the device sees every byte once, in
+  // order: one positioning, then a stream.
+  std::vector<Byte> buf;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::uint64_t next = 0;
+  // Make `need` unreplayed bytes available at buf[begin]. The partial
+  // record at the window end moves to the front of the buffer; a record
+  // larger than the window spans several window reads.
+  const auto fill = [&](std::size_t need, std::uint64_t record) -> Status {
+    if (end - begin >= need) return Status::Ok();
+    if (begin > 0) {
+      std::memmove(buf.data(), buf.data() + begin, end - begin);
+      end -= begin;
+      begin = 0;
     }
-    ByteReader r(ByteSpan(header.data(), header.size()));
+    while (end < need) {
+      const std::uint64_t n = std::min<std::uint64_t>(
+          kReplayWindow - next % kReplayWindow, tail_ - next);
+      if (n == 0) {
+        return {Errc::kCorrupt,
+                debar::format("chunk-log record {} overruns tail", record)};
+      }
+      if (buf.size() < end + n) buf.resize(end + n);
+      if (Status s = read_with_retry(*device_, next,
+                                     std::span<Byte>(buf.data() + end, n));
+          !s.ok()) {
+        return s;
+      }
+      next += n;
+      end += n;
+    }
+    return Status::Ok();
+  };
+
+  for (std::uint64_t i = 0; i < count_; ++i) {
+    if (Status s = fill(kHeader, i); !s.ok()) return s;
+    ByteReader r(ByteSpan(buf.data() + begin, kHeader));
     const Fingerprint fp = r.fingerprint();
     const std::uint32_t size = r.u32();
-    pos += header.size();
-    if (pos + size > tail_) {
+    const std::uint64_t record_pos = next - (end - begin);
+    if (record_pos + kHeader + size > tail_) {
       return {Errc::kCorrupt,
               debar::format("chunk-log record {} overruns tail", i)};
     }
-    payload.resize(size);
-    if (Status s = read_with_retry(*device_, pos, std::span<Byte>(payload));
-        !s.ok()) {
-      return s;
-    }
-    pos += size;
-    cb(fp, ByteSpan(payload.data(), payload.size()));
+    if (Status s = fill(kHeader + size, i); !s.ok()) return s;
+    cb(fp, ByteSpan(buf.data() + begin + kHeader, size));
+    begin += kHeader + size;
   }
   return Status::Ok();
 }

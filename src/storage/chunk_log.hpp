@@ -25,7 +25,11 @@ class ChunkLog {
   /// Append one <F, D(F)> group at the tail.
   [[nodiscard]] Status append(const Fingerprint& fp, ByteSpan chunk);
 
-  /// Sequentially replay every record in append order.
+  /// Sequentially replay every record in append order. The log is read
+  /// in aligned 1 MiB windows, each continuing where the last ended, so
+  /// the device sees one stream of `bytes()` bytes. The span passed to
+  /// the callback is valid only until it returns. A read failure is
+  /// returned and no later record reaches the callback.
   using ScanCallback = std::function<void(const Fingerprint&, ByteSpan)>;
   [[nodiscard]] Status scan(const ScanCallback& cb) const;
 

@@ -14,6 +14,11 @@ namespace {
 constexpr std::uint32_t kFrameMagic = 0x4C434244;      // 'DBCL'
 constexpr std::uint32_t kFrameTombstone = 0x58434244;  // 'DBCX'
 constexpr std::size_t kFrameHeader = 8;
+
+/// The container image inside a held frame.
+ByteSpan image_of(const std::vector<Byte>& frame) {
+  return ByteSpan(frame.data(), frame.size()).subspan(kFrameHeader);
+}
 }  // namespace
 
 ChunkRepository::ChunkRepository(std::size_t nodes, sim::DiskProfile profile) {
@@ -65,14 +70,16 @@ Result<std::unique_ptr<ChunkRepository>> ChunkRepository::open(
         break;
       }
       if (magic == kFrameMagic) {
-        std::vector<Byte> image(length);
-        if (Status s = device.read(pos + kFrameHeader,
-                                   std::span<Byte>(image));
+        // Keep the whole frame, header included, as the in-memory copy.
+        std::vector<Byte> frame(kFrameHeader + length);
+        std::copy(header.begin(), header.end(), frame.begin());
+        if (Status s = device.read(
+                pos + kFrameHeader,
+                std::span<Byte>(frame.data() + kFrameHeader, length));
             !s.ok()) {
           return Error{s.code(), s.message()};
         }
-        Result<Container> parsed =
-            Container::deserialize(ByteSpan(image.data(), image.size()));
+        Result<Container> parsed = Container::deserialize(image_of(frame));
         if (!parsed.ok()) return parsed.error();
         const std::uint64_t id = parsed.value().id().value;
         repo->next_id_ = std::max(repo->next_id_, id + 1);
@@ -82,7 +89,7 @@ Result<std::unique_ptr<ChunkRepository>> ChunkRepository::open(
         if ((id - 1) % repo->nodes_.size() != node) {
           repo->pinned_nodes_[id] = node;
         }
-        repo->containers_.emplace(id, std::move(image));
+        repo->containers_.emplace(id, std::move(frame));
       }
       pos += kFrameHeader + length;
     }
@@ -115,7 +122,16 @@ void ChunkRepository::append_reserved(ContainerId id, Container container,
 void ChunkRepository::store_locked(ContainerId id, Container container,
                                    std::optional<std::size_t> pin) {
   container.set_id(id);
-  std::vector<Byte> image = container.serialize();
+  // Serialize once, straight after the frame header: the one buffer is
+  // both the write-through frame and the in-memory copy.
+  const std::uint64_t image_bytes = container.capacity();
+  std::vector<Byte> frame;
+  frame.reserve(kFrameHeader + image_bytes);
+  ByteWriter w(frame);
+  w.u32(kFrameMagic);
+  w.u32(static_cast<std::uint32_t>(image_bytes));
+  container.serialize_into(frame);
+  assert(frame.size() == kFrameHeader + image_bytes);
 
   if (pin.has_value()) {
     assert(*pin < nodes_.size());
@@ -124,18 +140,12 @@ void ChunkRepository::store_locked(ContainerId id, Container container,
   const std::size_t node_idx = node_of_locked(id);
   Node& node = *nodes_[node_idx];
   // Appends to a node's container log are sequential.
-  node.model.stream(image.size());
-  node.appended_bytes += image.size();
+  node.model.stream(image_bytes);
+  node.appended_bytes += image_bytes;
   stored_payload_bytes_ += container.data_bytes();
 
   if (!backing_.empty()) {
     // Write-through to the node's persistent container log.
-    std::vector<Byte> frame;
-    frame.reserve(kFrameHeader + image.size());
-    ByteWriter w(frame);
-    w.u32(kFrameMagic);
-    w.u32(static_cast<std::uint32_t>(image.size()));
-    w.bytes(ByteSpan(image.data(), image.size()));
     const std::uint64_t offset = tails_[node_idx];
     if (Status s = write_with_retry(*backing_[node_idx], offset,
                                     ByteSpan(frame.data(), frame.size()));
@@ -151,7 +161,7 @@ void ChunkRepository::store_locked(ContainerId id, Container container,
       tails_[node_idx] = offset + frame.size();
     }
   }
-  containers_.emplace(id.value, std::move(image));
+  containers_.emplace(id.value, std::move(frame));
 }
 
 Result<Container> ChunkRepository::read(ContainerId id) const {
@@ -162,11 +172,11 @@ Result<Container> ChunkRepository::read(ContainerId id) const {
                  debar::format("container {} not in repository", id.value)};
   }
   Node& node = *nodes_[node_of_locked(id)];
+  const ByteSpan image = image_of(it->second);
   // Container reads land at arbitrary log positions: one seek + transfer.
   node.model.seek();
-  node.model.stream(it->second.size());
-  return Container::deserialize(
-      ByteSpan(it->second.data(), it->second.size()));
+  node.model.stream(image.size());
+  return Container::deserialize(image);
 }
 
 std::size_t ChunkRepository::node_of(ContainerId id) const {
@@ -198,8 +208,7 @@ Status ChunkRepository::remove(ContainerId id) {
   }
   // Account the payload bytes leaving the pool. Parsing just for the
   // data-bytes field is cheap (header only).
-  Result<Container> parsed =
-      Container::deserialize(ByteSpan(it->second.data(), it->second.size()));
+  Result<Container> parsed = Container::deserialize(image_of(it->second));
   if (parsed.ok()) {
     stored_payload_bytes_ -= parsed.value().data_bytes();
   }

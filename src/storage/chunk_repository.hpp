@@ -131,6 +131,8 @@ class ChunkRepository {
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  /// Each container's frame, [magic][length][image] exactly as a
+  /// persistent node log holds it; the image starts at byte 8.
   std::unordered_map<std::uint64_t, std::vector<Byte>> containers_;
   /// Containers placed off the round-robin pattern (defragmentation).
   std::unordered_map<std::uint64_t, std::size_t> pinned_nodes_;

@@ -51,6 +51,12 @@ ByteSpan Container::chunk_at(std::size_t i) const {
 std::vector<Byte> Container::serialize() const {
   std::vector<Byte> out;
   out.reserve(capacity_);
+  serialize_into(out);
+  return out;
+}
+
+void Container::serialize_into(std::vector<Byte>& out) const {
+  const std::size_t start = out.size();
   ByteWriter w(out);
   w.u32(kMagic);
   w.container_id(id_);
@@ -62,8 +68,7 @@ std::vector<Byte> Container::serialize() const {
     w.u32(m.offset);
   }
   w.bytes(ByteSpan(data_.data(), data_.size()));
-  out.resize(capacity_, 0);
-  return out;
+  out.resize(start + capacity_, 0);
 }
 
 Result<Container> Container::deserialize(ByteSpan image) {

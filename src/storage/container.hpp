@@ -77,6 +77,10 @@ class Container {
   /// Serialize to exactly `capacity()` bytes.
   [[nodiscard]] std::vector<Byte> serialize() const;
 
+  /// Append the same `capacity()` bytes to `out`, after whatever it
+  /// already holds (e.g. a frame header).
+  void serialize_into(std::vector<Byte>& out) const;
+
   /// Parse a serialized image; validates magic, counts, and bounds.
   [[nodiscard]] static Result<Container> deserialize(ByteSpan image);
 

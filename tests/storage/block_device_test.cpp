@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 namespace debar::storage {
 namespace {
@@ -162,6 +164,57 @@ TEST_F(FileBlockDeviceTest, ShortReadAfterExternalTruncationFails) {
   const Status s = dev.value()->read(0, std::span<Byte>(out));
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), Errc::kIoError);
+}
+
+TEST_F(FileBlockDeviceTest, ConcurrentDisjointWritesAndReads) {
+  // Positional I/O has no shared cursor: threads writing and reading
+  // disjoint ranges at once must each see their own bytes, and the size
+  // must end at the highest byte written.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kBlocks = 32;
+  constexpr std::size_t kBlock = 4096;
+  auto dev = FileBlockDevice::open(path_);
+  ASSERT_TRUE(dev.ok());
+  BlockDevice& device = *dev.value();
+  const auto fill_of = [](std::size_t t, std::size_t b) {
+    return static_cast<Byte>(1 + (t * kBlocks + b) % 250);
+  };
+
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Thread t owns blocks t, t + kThreads, ...; it writes them from the
+      // top down, so most writes land past the current end of the file.
+      for (std::size_t b = kBlocks; b-- > 0;) {
+        const std::vector<Byte> block(kBlock, fill_of(t, b));
+        const std::uint64_t offset = (b * kThreads + t) * kBlock;
+        if (!device.write(offset, ByteSpan(block.data(), block.size())).ok()) {
+          ++failures[t];
+        }
+        std::vector<Byte> back(kBlock);
+        if (!device.read(offset, std::span<Byte>(back)).ok() ||
+            back != block) {
+          ++failures[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0);
+
+  const std::uint64_t end = kThreads * kBlocks * kBlock;
+  EXPECT_EQ(device.size(), end);
+  EXPECT_EQ(std::filesystem::file_size(path_), end);
+  std::vector<Byte> all(end);
+  ASSERT_TRUE(device.read(0, std::span<Byte>(all)).ok());
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      const std::size_t at = (b * kThreads + t) * kBlock;
+      EXPECT_EQ(all[at], fill_of(t, b));
+      EXPECT_EQ(all[at + kBlock - 1], fill_of(t, b));
+    }
+  }
 }
 
 }  // namespace

@@ -179,5 +179,88 @@ TEST(PersistentRepositoryTest, MemoryOnlyModeUnaffected) {
   EXPECT_EQ(repo.container_count(), 0u);
 }
 
+// ---- Frame format golden -------------------------------------------------
+//
+// A node log is a run of frames [u32 magic 'DBCL'][u32 image length]
+// [Container::serialize()], little-endian; a removal overwrites the magic
+// with 'DBCX'. These tests pin that layout byte for byte.
+
+void put_u32(std::vector<Byte>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<Byte>(v >> (8 * i)));
+}
+
+std::vector<Byte> frame_of(std::uint32_t magic, const Container& c) {
+  std::vector<Byte> frame;
+  put_u32(frame, magic);
+  const std::vector<Byte> image = c.serialize();
+  put_u32(frame, static_cast<std::uint32_t>(image.size()));
+  frame.insert(frame.end(), image.begin(), image.end());
+  return frame;
+}
+
+constexpr std::uint32_t kLiveMagic = 0x4C434244;       // 'DBCL'
+constexpr std::uint32_t kTombstoneMagic = 0x58434244;  // 'DBCX'
+
+TEST(PersistentRepositoryTest, FrameIsHeaderThenSerializedContainer) {
+  std::vector<MemBlockDevice*> raw;
+  ChunkRepository repo(make_devices(1, &raw));
+  std::vector<Byte> want;
+  for (std::uint64_t c = 0; c < 3; ++c) {
+    Container container = make_container(c * 100, 5 + c);
+    const ContainerId id = repo.append(container);
+    container.set_id(id);
+    const std::vector<Byte> frame = frame_of(kLiveMagic, container);
+    want.insert(want.end(), frame.begin(), frame.end());
+  }
+  const ByteSpan got = raw[0]->contents();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
+}
+
+TEST(PersistentRepositoryTest, HandWrittenLogReopens) {
+  // IDs 3, 5 and 9 live, 4 tombstoned, all on the one node.
+  std::vector<Byte> log;
+  std::vector<Container> live;
+  std::uint64_t payload = 0;
+  for (const std::uint64_t id : {3u, 4u, 5u, 9u}) {
+    Container c = make_container(id * 1000, 2 + id % 4);
+    c.set_id(ContainerId{id});
+    const bool removed = id == 4;
+    const std::vector<Byte> frame =
+        frame_of(removed ? kTombstoneMagic : kLiveMagic, c);
+    log.insert(log.end(), frame.begin(), frame.end());
+    if (!removed) {
+      payload += c.data_bytes();
+      live.push_back(std::move(c));
+    }
+  }
+
+  auto reopened = ChunkRepository::open(devices_from({log}));
+  ASSERT_TRUE(reopened.ok()) << reopened.error().to_string();
+  ChunkRepository& repo = *reopened.value();
+  EXPECT_EQ(repo.container_ids(),
+            (std::vector<ContainerId>{ContainerId{3}, ContainerId{5},
+                                      ContainerId{9}}));
+  EXPECT_EQ(repo.stored_bytes(), payload);
+  for (const Container& want : live) {
+    const Result<Container> got = repo.read(want.id());
+    ASSERT_TRUE(got.ok()) << want.id().value;
+    EXPECT_EQ(got.value().serialize(), want.serialize());
+    for (std::size_t i = 0; i < want.chunk_count(); ++i) {
+      const std::optional<ByteSpan> chunk =
+          got.value().find(want.metadata()[i].fp);
+      ASSERT_TRUE(chunk.has_value());
+      const ByteSpan expected = want.chunk_at(i);
+      EXPECT_TRUE(std::equal(chunk->begin(), chunk->end(), expected.begin(),
+                             expected.end()));
+    }
+  }
+  // Removing a reopened container releases its payload accounting.
+  ASSERT_TRUE(repo.remove(ContainerId{5}).ok());
+  EXPECT_EQ(repo.stored_bytes(), payload - live[1].data_bytes());
+  // IDs continue after the highest one on disk.
+  EXPECT_EQ(repo.append(make_container(900, 2)).value, 10u);
+}
+
 }  // namespace
 }  // namespace debar::storage
