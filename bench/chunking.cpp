@@ -19,9 +19,9 @@
 // Every lane's boundaries and fingerprints are verified identical to
 // the scalar references while measuring: a lane that got fast by
 // cutting different chunks fails here before any test does.
-#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -80,13 +80,23 @@ struct LaneOutput {
 
 constexpr int kReps = 5;
 
-// One chunk+fingerprint pass over the whole corpus; returns wall time.
+/// CPU time of the calling thread. A pass runs on this thread alone, so
+/// CPU time counts its own work only: time a loaded host gives to other
+/// processes between its instructions does not land on one lane.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// One chunk+fingerprint pass over the whole corpus; returns the thread CPU
+// time it took.
 template <class ChunkFn, class HashFn>
 double one_pass(const std::vector<std::vector<Byte>>& corpus,
                 ChunkFn&& chunk_fn, HashFn&& hash_fn, LaneOutput& out) {
   out.bounds.clear();
   out.fps.clear();
-  const auto start = std::chrono::steady_clock::now();
+  const double start = thread_cpu_seconds();
   for (const auto& seg : corpus) {
     const ByteSpan content(seg.data(), seg.size());
     std::vector<chunking::ChunkBounds> bounds = chunk_fn(content);
@@ -96,9 +106,7 @@ double one_pass(const std::vector<std::vector<Byte>>& corpus,
     out.fps.push_back(hash_fn(spans));
     out.bounds.push_back(std::move(bounds));
   }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+  return thread_cpu_seconds() - start;
 }
 
 /// One lane under measurement: its figures, one timed pass over the

@@ -8,24 +8,20 @@ LpcCache::LpcCache(std::size_t max_containers) : cap_(max_containers) {
   assert(cap_ >= 1);
 }
 
-void LpcCache::touch(Slot& slot, std::uint64_t id) {
-  lru_.erase(slot.lru_pos);
-  lru_.push_front(id);
-  slot.lru_pos = lru_.begin();
+void LpcCache::touch(Slot& slot) {
+  lru_.splice(lru_.begin(), lru_, slot.lru_pos);
 }
 
 std::optional<ByteSpan> LpcCache::find(const Fingerprint& fp) {
-  const auto it = fp_to_id_.find(fp);
-  if (it == fp_to_id_.end()) {
+  const auto it = fp_to_chunk_.find(fp);
+  if (it == fp_to_chunk_.end()) {
     ++misses_;
     return std::nullopt;
   }
-  Slot& slot = by_id_.at(it->second);
-  touch(slot, it->second);
-  const std::optional<ByteSpan> chunk = slot.container->find(fp);
-  assert(chunk.has_value() && "fp_to_id_ out of sync with container");
+  const Location& at = it->second;
+  touch(*at.slot);
   ++hits_;
-  return chunk;
+  return at.slot->container->chunk_at(at.index);
 }
 
 void LpcCache::evict_lru() {
@@ -35,11 +31,11 @@ void LpcCache::evict_lru() {
   const auto it = by_id_.find(victim);
   assert(it != by_id_.end());
   for (const storage::ChunkMeta& m : it->second.container->metadata()) {
-    const auto fit = fp_to_id_.find(m.fp);
+    const auto fit = fp_to_chunk_.find(m.fp);
     // Only erase mappings still pointing at the victim: a newer container
     // may have re-registered the same fingerprint.
-    if (fit != fp_to_id_.end() && fit->second == victim) {
-      fp_to_id_.erase(fit);
+    if (fit != fp_to_chunk_.end() && fit->second.slot == &it->second) {
+      fp_to_chunk_.erase(fit);
     }
   }
   by_id_.erase(it);
@@ -50,24 +46,29 @@ void LpcCache::insert(std::shared_ptr<const storage::Container> container) {
   const std::uint64_t id = container->id().value;
 
   if (const auto it = by_id_.find(id); it != by_id_.end()) {
-    touch(it->second, id);
+    touch(it->second);
     it->second.container = std::move(container);
     return;
   }
   while (by_id_.size() >= cap_) evict_lru();
 
   lru_.push_front(id);
-  Slot slot{std::move(container), lru_.begin()};
-  for (const storage::ChunkMeta& m : slot.container->metadata()) {
-    fp_to_id_[m.fp] = id;
+  Slot& slot =
+      by_id_.emplace(id, Slot{std::move(container), lru_.begin()})
+          .first->second;
+  const std::vector<storage::ChunkMeta>& metas = slot.container->metadata();
+  for (std::uint32_t i = 0; i < metas.size(); ++i) {
+    // The newest container wins a fingerprint; within it, the first slot.
+    const auto [fit, fresh] =
+        fp_to_chunk_.try_emplace(metas[i].fp, Location{&slot, i});
+    if (!fresh && fit->second.slot != &slot) fit->second = {&slot, i};
   }
-  by_id_.emplace(id, std::move(slot));
 }
 
 void LpcCache::clear() {
   lru_.clear();
   by_id_.clear();
-  fp_to_id_.clear();
+  fp_to_chunk_.clear();
   hits_ = 0;
   misses_ = 0;
 }

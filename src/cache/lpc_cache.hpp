@@ -55,14 +55,21 @@ class LpcCache {
     std::shared_ptr<const storage::Container> container;
     std::list<std::uint64_t>::iterator lru_pos;
   };
+  /// Where a cached fingerprint's payload is: the newest inserted
+  /// container holding it, and its first slot there. Slots are stable:
+  /// unordered_map never moves its elements.
+  struct Location {
+    Slot* slot;
+    std::uint32_t index;
+  };
 
-  void touch(Slot& slot, std::uint64_t id);
+  void touch(Slot& slot);
   void evict_lru();
 
   std::size_t cap_;
   std::list<std::uint64_t> lru_;  // front = most recent
   std::unordered_map<std::uint64_t, Slot> by_id_;
-  std::unordered_map<Fingerprint, std::uint64_t, FingerprintHash> fp_to_id_;
+  std::unordered_map<Fingerprint, Location, FingerprintHash> fp_to_chunk_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -93,8 +93,8 @@ std::optional<std::vector<Byte>> ChunkStore::lpc_probe(const Fingerprint& fp) {
 }
 
 Result<std::vector<Byte>> ChunkStore::read_chunk(const Fingerprint& fp) {
-  if (const std::optional<ByteSpan> hit = lpc_.find(fp)) {
-    return std::vector<Byte>(hit->begin(), hit->end());
+  if (std::optional<std::vector<Byte>> hit = lpc_probe(fp)) {
+    return std::move(*hit);
   }
   Result<ContainerId> cid = locate(fp);
   if (!cid.ok()) return cid.error();
@@ -103,9 +103,6 @@ Result<std::vector<Byte>> ChunkStore::read_chunk(const Fingerprint& fp) {
 
 Result<std::vector<Byte>> ChunkStore::read_chunk_at(const Fingerprint& fp,
                                                     ContainerId id) {
-  if (const std::optional<ByteSpan> hit = lpc_.find(fp)) {
-    return std::vector<Byte>(hit->begin(), hit->end());
-  }
   Result<storage::Container> container = containers_.read(id);
   if (!container.ok()) return container.error();
 

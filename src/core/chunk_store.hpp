@@ -93,8 +93,11 @@ class ChunkStore : public IndexPart {
   /// container, reads it whole from the repository, and prefetches it.
   [[nodiscard]] Result<std::vector<Byte>> read_chunk(const Fingerprint& fp);
 
-  /// Read a chunk when the container is already known (cluster restores
-  /// route locate() to the index-part owner, then read locally).
+  /// Read a chunk from container `id` after an LPC miss: fetch the
+  /// container from the repository and prefetch it into the LPC. It does
+  /// not probe the LPC again, so a miss counts once (cluster restores
+  /// probe with lpc_probe(), route locate() to the index-part owner, then
+  /// read locally).
   [[nodiscard]] Result<std::vector<Byte>> read_chunk_at(const Fingerprint& fp,
                                                         ContainerId id);
 

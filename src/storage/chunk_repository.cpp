@@ -1,6 +1,7 @@
 #include "storage/chunk_repository.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include "common/fmt.hpp"
 #include "common/log.hpp"
@@ -14,10 +15,10 @@ namespace {
 constexpr std::uint32_t kFrameMagic = 0x4C434244;      // 'DBCL'
 constexpr std::uint32_t kFrameTombstone = 0x58434244;  // 'DBCX'
 constexpr std::size_t kFrameHeader = 8;
+static_assert(kFrameHeader == Container::kFrameRoom);
 
-/// The container image inside a held frame.
-ByteSpan image_of(const std::vector<Byte>& frame) {
-  return ByteSpan(frame.data(), frame.size()).subspan(kFrameHeader);
+void put_u32(Byte* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<Byte>(v >> (8 * i));
 }
 }  // namespace
 
@@ -49,12 +50,16 @@ Result<std::unique_ptr<ChunkRepository>> ChunkRepository::open(
   for (std::size_t node = 0; node < repo->backing_.size(); ++node) {
     BlockDevice& device = *repo->backing_[node];
     std::uint64_t pos = 0;
-    std::vector<Byte> header(kFrameHeader);
+    // One read per frame: its header and its container's fixed header.
+    std::array<Byte, kFrameHeader + Container::kHeaderSize> header{};
     while (pos + kFrameHeader <= device.size()) {
-      if (Status s = device.read(pos, std::span<Byte>(header)); !s.ok()) {
+      const std::size_t want = static_cast<std::size_t>(
+          std::min<std::uint64_t>(header.size(), device.size() - pos));
+      if (Status s = device.read(pos, std::span<Byte>(header.data(), want));
+          !s.ok()) {
         return Error{s.code(), s.message()};
       }
-      ByteReader r(ByteSpan(header.data(), header.size()));
+      ByteReader r(ByteSpan(header.data(), kFrameHeader));
       const std::uint32_t magic = r.u32();
       const std::uint32_t length = r.u32();
       if (magic != kFrameMagic && magic != kFrameTombstone) break;  // tail
@@ -70,26 +75,24 @@ Result<std::unique_ptr<ChunkRepository>> ChunkRepository::open(
         break;
       }
       if (magic == kFrameMagic) {
-        // Keep the whole frame, header included, as the in-memory copy.
-        std::vector<Byte> frame(kFrameHeader + length);
-        std::copy(header.begin(), header.end(), frame.begin());
-        if (Status s = device.read(
-                pos + kFrameHeader,
-                std::span<Byte>(frame.data() + kFrameHeader, length));
-            !s.ok()) {
-          return Error{s.code(), s.message()};
-        }
-        Result<Container> parsed = Container::deserialize(image_of(frame));
+        const ByteSpan image_head =
+            ByteSpan(header.data(), want)
+                .subspan(kFrameHeader)
+                .first(std::min<std::size_t>(want - kFrameHeader, length));
+        Result<Container::Header> parsed =
+            Container::parse_header(image_head, length);
         if (!parsed.ok()) return parsed.error();
-        const std::uint64_t id = parsed.value().id().value;
+        const std::uint64_t id = parsed.value().id.value;
         repo->next_id_ = std::max(repo->next_id_, id + 1);
-        repo->stored_payload_bytes_ += parsed.value().data_bytes();
-        repo->frames_[id] = {node, pos};
+        repo->stored_payload_bytes_ += parsed.value().data_bytes;
+        Entry& entry = repo->entries_[id];
+        entry.image_bytes = length;
+        entry.data_bytes = parsed.value().data_bytes;
+        entry.offset = pos;
         // Record off-pattern placement so node_of stays correct.
         if ((id - 1) % repo->nodes_.size() != node) {
           repo->pinned_nodes_[id] = node;
         }
-        repo->containers_.emplace(id, std::move(frame));
       }
       pos += kFrameHeader + length;
     }
@@ -115,23 +118,19 @@ void ChunkRepository::append_reserved(ContainerId id, Container container,
                                       std::optional<std::size_t> pin) {
   std::lock_guard lock(mutex_);
   assert(id.value != 0 && id.value < next_id_ && "ID must come from reserve_id");
-  assert(!containers_.contains(id.value) && "reserved ID already stored");
+  assert(!entries_.contains(id.value) && "reserved ID already stored");
   store_locked(id, std::move(container), pin);
 }
 
 void ChunkRepository::store_locked(ContainerId id, Container container,
                                    std::optional<std::size_t> pin) {
   container.set_id(id);
-  // Serialize once, straight after the frame header: the one buffer is
-  // both the write-through frame and the in-memory copy.
+  // The image is laid out in the container's own buffer, behind room for
+  // the frame header: that buffer is the write-through frame.
+  const std::span<Byte> frame = container.seal();
   const std::uint64_t image_bytes = container.capacity();
-  std::vector<Byte> frame;
-  frame.reserve(kFrameHeader + image_bytes);
-  ByteWriter w(frame);
-  w.u32(kFrameMagic);
-  w.u32(static_cast<std::uint32_t>(image_bytes));
-  container.serialize_into(frame);
-  assert(frame.size() == kFrameHeader + image_bytes);
+  put_u32(frame.data(), kFrameMagic);
+  put_u32(frame.data() + 4, static_cast<std::uint32_t>(image_bytes));
 
   if (pin.has_value()) {
     assert(*pin < nodes_.size());
@@ -144,39 +143,76 @@ void ChunkRepository::store_locked(ContainerId id, Container container,
   node.appended_bytes += image_bytes;
   stored_payload_bytes_ += container.data_bytes();
 
+  Entry entry;
+  entry.image_bytes = image_bytes;
+  entry.data_bytes = container.data_bytes();
   if (!backing_.empty()) {
     // Write-through to the node's persistent container log.
     const std::uint64_t offset = tails_[node_idx];
-    if (Status s = write_with_retry(*backing_[node_idx], offset,
-                                    ByteSpan(frame.data(), frame.size()));
-        !s.ok()) {
-      // Surfacing write failures through append's signature would change
-      // every store path for a condition only the persistent mode can
-      // hit; log loudly and park the failure in backing_error_ so the
-      // chunk-storing step can fail its round (take_backing_error()).
-      DEBAR_LOG_ERROR("persistent container write failed: {}", s.to_string());
-      if (backing_error_.ok()) backing_error_ = s;
-    } else {
-      frames_[id.value] = {node_idx, offset};
+    if (write_through_locked(node_idx, offset, frame, "container")) {
+      entry.offset = offset;
       tails_[node_idx] = offset + frame.size();
+      // The container dies here and its buffer goes back to the pool.
+      entries_.emplace(id.value, std::move(entry));
+      return;
     }
+    // The container stays readable from memory until the failed round is
+    // dealt with.
   }
-  containers_.emplace(id.value, std::move(frame));
+  entry.held = std::make_shared<const Container>(std::move(container));
+  entries_.emplace(id.value, std::move(entry));
+}
+
+bool ChunkRepository::write_through_locked(std::size_t node,
+                                           std::uint64_t offset, ByteSpan data,
+                                           const char* what) {
+  Status s;
+  {
+    std::unique_lock io(io_mutex_);
+    s = write_with_retry(*backing_[node], offset, data);
+  }
+  if (s.ok()) return true;
+  // Surfacing write failures through append's signature would change
+  // every store path for a condition only the persistent mode can hit;
+  // log loudly and park the failure in backing_error_ so the
+  // chunk-storing step can fail its round (take_backing_error()).
+  DEBAR_LOG_ERROR("persistent {} write failed: {}", what, s.to_string());
+  if (backing_error_.ok()) backing_error_ = s;
+  return false;
 }
 
 Result<Container> ChunkRepository::read(ContainerId id) const {
-  std::lock_guard lock(mutex_);
-  const auto it = containers_.find(id.value);
-  if (it == containers_.end()) {
-    return Error{Errc::kNotFound,
-                 debar::format("container {} not in repository", id.value)};
+  Entry entry;
+  BlockDevice* device = nullptr;
+  {
+    std::lock_guard lock(mutex_);
+    const auto it = entries_.find(id.value);
+    if (it == entries_.end()) {
+      return Error{Errc::kNotFound,
+                   debar::format("container {} not in repository", id.value)};
+    }
+    entry = it->second;
+    const std::size_t node_idx = node_of_locked(id);
+    // Container reads land at arbitrary log positions: one seek + transfer.
+    nodes_[node_idx]->model.seek();
+    nodes_[node_idx]->model.stream(entry.image_bytes);
+    if (entry.held == nullptr) device = backing_[node_idx].get();
   }
-  Node& node = *nodes_[node_of_locked(id)];
-  const ByteSpan image = image_of(it->second);
-  // Container reads land at arbitrary log positions: one seek + transfer.
-  node.model.seek();
-  node.model.stream(image.size());
-  return Container::deserialize(image);
+
+  // Memory-only: parse a copy of the held image, as deserialize() makes.
+  if (device == nullptr) return Container::deserialize(entry.held->image());
+  FrameBuffer buffer =
+      pool_->acquire(Container::buffer_bytes(entry.image_bytes));
+  {
+    std::shared_lock io(io_mutex_);
+    if (Status s = read_with_retry(
+            *device, entry.offset + kFrameHeader,
+            std::span<Byte>(buffer.data() + kFrameHeader, entry.image_bytes));
+        !s.ok()) {
+      return Error{s.code(), s.message()};
+    }
+  }
+  return Container::parse(std::move(buffer), entry.image_bytes);
 }
 
 std::size_t ChunkRepository::node_of(ContainerId id) const {
@@ -193,53 +229,40 @@ std::size_t ChunkRepository::node_of_locked(ContainerId id) const {
 std::vector<ContainerId> ChunkRepository::container_ids() const {
   std::lock_guard lock(mutex_);
   std::vector<ContainerId> ids;
-  ids.reserve(containers_.size());
-  for (const auto& [id, image] : containers_) ids.push_back(ContainerId{id});
+  ids.reserve(entries_.size());
+  for (const auto& [id, entry] : entries_) ids.push_back(ContainerId{id});
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 Status ChunkRepository::remove(ContainerId id) {
   std::lock_guard lock(mutex_);
-  const auto it = containers_.find(id.value);
-  if (it == containers_.end()) {
+  const auto it = entries_.find(id.value);
+  if (it == entries_.end()) {
     return {Errc::kNotFound,
             debar::format("container {} not in repository", id.value)};
   }
-  // Account the payload bytes leaving the pool. Parsing just for the
-  // data-bytes field is cheap (header only).
-  Result<Container> parsed = Container::deserialize(image_of(it->second));
-  if (parsed.ok()) {
-    stored_payload_bytes_ -= parsed.value().data_bytes();
-  }
-  containers_.erase(it);
-  pinned_nodes_.erase(id.value);
-
-  if (const auto frame = frames_.find(id.value); frame != frames_.end()) {
+  stored_payload_bytes_ -= it->second.data_bytes;
+  if (it->second.held == nullptr) {
     // Tombstone the persistent frame in place; open() will skip it.
-    std::vector<Byte> magic;
-    ByteWriter w(magic);
-    w.u32(kFrameTombstone);
-    if (Status s = write_with_retry(*backing_[frame->second.node],
-                                    frame->second.offset,
-                                    ByteSpan(magic.data(), magic.size()));
-        !s.ok()) {
-      DEBAR_LOG_ERROR("persistent tombstone write failed: {}", s.to_string());
-      if (backing_error_.ok()) backing_error_ = s;
-    }
-    frames_.erase(frame);
+    std::array<Byte, 4> magic{};
+    put_u32(magic.data(), kFrameTombstone);
+    (void)write_through_locked(node_of_locked(id), it->second.offset, magic,
+                               "tombstone");
   }
+  entries_.erase(it);
+  pinned_nodes_.erase(id.value);
   return Status::Ok();
 }
 
 bool ChunkRepository::contains(ContainerId id) const {
   std::lock_guard lock(mutex_);
-  return containers_.contains(id.value);
+  return entries_.contains(id.value);
 }
 
 std::uint64_t ChunkRepository::container_count() const {
   std::lock_guard lock(mutex_);
-  return containers_.size();
+  return entries_.size();
 }
 
 std::uint64_t ChunkRepository::stored_bytes() const {

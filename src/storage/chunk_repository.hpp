@@ -5,12 +5,18 @@
 // nodes round-robin (ID determines the node, so reads need no directory).
 // Each node has its own DiskModel so aggregate read/write bandwidth scales
 // with node count, as in the paper's 16-node repository.
+//
+// A persistent repository keeps only a frame directory in memory; every
+// read() fetches its container's image from the node device into a buffer
+// recycled through the repository's FramePool and parses it in place. A
+// memory-only repository holds each sealed container itself.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -19,6 +25,7 @@
 #include "sim/disk_model.hpp"
 #include "storage/block_device.hpp"
 #include "storage/container.hpp"
+#include "storage/frame_pool.hpp"
 
 namespace debar::storage {
 
@@ -40,7 +47,8 @@ class ChunkRepository {
 
   /// Re-open a persistent repository: scans each node's container log,
   /// skipping tombstoned frames, and rebuilds the directory (IDs, node
-  /// placement, payload accounting).
+  /// placement, payload accounting) from frame and container headers
+  /// alone; payloads are not read.
   [[nodiscard]] static Result<std::unique_ptr<ChunkRepository>> open(
       std::vector<std::unique_ptr<BlockDevice>> node_devices,
       sim::DiskProfile profile = sim::DiskProfile::PaperRaid());
@@ -74,8 +82,19 @@ class ChunkRepository {
   /// Delete a container (space reclamation). kNotFound if absent.
   [[nodiscard]] Status remove(ContainerId id);
 
-  /// Fetch a container image by ID and parse it.
+  /// Fetch a container image by ID and parse it. A persistent repository
+  /// reads the image from its node device with one device read, outside
+  /// the repository lock; the container owns the pooled buffer it was
+  /// read into until it is destroyed.
   [[nodiscard]] Result<Container> read(ContainerId id) const;
+
+  /// Idle frame buffers the pool keeps: the default LPC's 16 containers
+  /// plus the dedup-2 stores that may be sealing at once.
+  static constexpr std::size_t kIdleFrames = 20;
+
+  /// The pool that read() and open containers (ContainerManager) draw
+  /// frame buffers from.
+  [[nodiscard]] FramePool& frame_pool() const noexcept { return *pool_; }
 
   [[nodiscard]] bool contains(ContainerId id) const;
 
@@ -119,30 +138,42 @@ class ChunkRepository {
 
   [[nodiscard]] std::size_t node_of_locked(ContainerId id) const;
 
-  /// Shared tail of append/append_reserved: serialize, place, write through.
+  /// Shared tail of append/append_reserved: seal, place, write through.
   void store_locked(ContainerId id, Container container,
                     std::optional<std::size_t> pin);
 
-  /// Frame location of a persisted container on its node's device.
-  struct Frame {
-    std::size_t node = 0;
-    std::uint64_t offset = 0;  // of the frame header
+  /// Write `data` to node `node`'s device with retries; a failure is
+  /// logged, parked in backing_error_ and returned as false.
+  [[nodiscard]] bool write_through_locked(std::size_t node,
+                                          std::uint64_t offset, ByteSpan data,
+                                          const char* what);
+
+  /// One stored container. A persisted one is found by its frame offset
+  /// on its node's device; a memory-only one — or one whose write-through
+  /// failed — is held whole.
+  struct Entry {
+    std::uint64_t image_bytes = 0;
+    std::uint64_t data_bytes = 0;
+    std::uint64_t offset = 0;  // of the frame header, when not held
+    std::shared_ptr<const Container> held;
   };
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  /// Each container's frame, [magic][length][image] exactly as a
-  /// persistent node log holds it; the image starts at byte 8.
-  std::unordered_map<std::uint64_t, std::vector<Byte>> containers_;
+  std::unordered_map<std::uint64_t, Entry> entries_;
   /// Containers placed off the round-robin pattern (defragmentation).
   std::unordered_map<std::uint64_t, std::size_t> pinned_nodes_;
   std::uint64_t next_id_ = 1;  // 0 is kNullContainer
+  std::shared_ptr<FramePool> pool_ = std::make_shared<FramePool>(kIdleFrames);
 
   /// Persistent mode state (empty vectors when memory-only).
   std::vector<std::unique_ptr<BlockDevice>> backing_;
   std::vector<std::uint64_t> tails_;
-  std::unordered_map<std::uint64_t, Frame> frames_;
   Status backing_error_;  // sticky until take_backing_error()
+  /// Orders read()'s device reads, taken outside mutex_, against the
+  /// writes made under it: a device need not allow a read to race a write
+  /// that grows it.
+  mutable std::shared_mutex io_mutex_;
 
   std::uint64_t stored_payload_bytes_ = 0;
 };

@@ -14,14 +14,25 @@
 //   [17..)    metadata entries: {fingerprint[20], size u32, offset u32}
 //   [data_offset..) chunk payloads, back to back
 // The whole image is padded to exactly `capacity` bytes.
+//
+// In memory a container lives in one FrameBuffer laid out as the
+// repository's frame: kFrameRoom bytes for the frame header, then the
+// image. An open container packs each chunk's payload straight into the
+// buffer, behind room reserved for the metadata it will need; seal()
+// writes the header and metadata just in front of the payload, so the
+// image is never copied. A container read back from a device is parsed in
+// place and views its payload inside the buffer it was read into.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/result.hpp"
 #include "common/types.hpp"
+#include "storage/frame_pool.hpp"
 
 namespace debar::storage {
 
@@ -40,8 +51,26 @@ class Container {
  public:
   static constexpr std::uint32_t kMagic = 0x43524244;  // 'DBRC'
   static constexpr std::size_t kHeaderSize = 4 + 5 + 4 + 4;
+  /// Bytes a container's buffer keeps in front of its image for the
+  /// repository's frame header.
+  static constexpr std::size_t kFrameRoom = 8;
 
-  explicit Container(std::uint64_t capacity = kContainerSize);
+  /// The fixed header of an image.
+  struct Header {
+    ContainerId id;
+    std::uint32_t chunk_count = 0;
+    std::uint32_t data_bytes = 0;
+  };
+
+  /// An open, empty container. Its buffer is taken on the first append:
+  /// from `pool` when one is given (it must outlive the open container),
+  /// else freshly allocated.
+  explicit Container(std::uint64_t capacity = kContainerSize,
+                     FramePool* pool = nullptr);
+
+  /// Move-only: a container owns an ~8 MB buffer.
+  Container(Container&&) noexcept = default;
+  Container& operator=(Container&&) noexcept = default;
 
   /// Try to add a chunk. Returns false when the chunk (payload + metadata
   /// entry) doesn't fit — the caller then seals this container and opens a
@@ -56,39 +85,78 @@ class Container {
     return metadata_.size();
   }
   [[nodiscard]] std::uint64_t data_bytes() const noexcept {
-    return data_.size();
+    return data_bytes_;
   }
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const std::vector<ChunkMeta>& metadata() const noexcept {
     return metadata_;
   }
 
-  /// Payload of the chunk with fingerprint `fp`, or nullopt. Linear scan of
-  /// the metadata — containers hold ~1K chunks, and restore goes through
-  /// the LPC cache anyway.
+  /// Payload of the first chunk with fingerprint `fp`, or nullopt. Linear
+  /// scan of the metadata; restore hits go through the LPC's index.
   [[nodiscard]] std::optional<ByteSpan> find(const Fingerprint& fp) const;
 
   /// Payload of chunk `i` in arrival order.
-  [[nodiscard]] ByteSpan chunk_at(std::size_t i) const;
+  [[nodiscard]] ByteSpan chunk_at(std::size_t i) const {
+    assert(i < metadata_.size());
+    const ChunkMeta& m = metadata_[i];
+    return ByteSpan(buffer_.data() + data_pos_ + m.offset, m.size);
+  }
 
   [[nodiscard]] ContainerId id() const noexcept { return id_; }
   void set_id(ContainerId id) noexcept { id_ = id; }
 
-  /// Serialize to exactly `capacity()` bytes.
+  /// Size of the buffer that holds a container of `capacity` bytes: the
+  /// frame room, the image, and slack that lets the metadata grow in
+  /// front of the packed payload without moving it.
+  [[nodiscard]] static std::size_t buffer_bytes(std::uint64_t capacity);
+
+  /// Lay the image out in place and return [kFrameRoom bytes][image] —
+  /// the repository writes its frame header into the room. A sealed
+  /// container takes no more appends.
+  [[nodiscard]] std::span<Byte> seal();
+
+  /// The image of a sealed or parsed container, in place.
+  [[nodiscard]] ByteSpan image() const noexcept {
+    return ByteSpan(buffer_.data() + data_pos_ - kHeaderSize -
+                        metadata_.size() * ChunkMeta::kSerializedSize,
+                    capacity_);
+  }
+
+  /// A copy of the image: exactly `capacity()` bytes.
   [[nodiscard]] std::vector<Byte> serialize() const;
 
-  /// Append the same `capacity()` bytes to `out`, after whatever it
-  /// already holds (e.g. a frame header).
-  void serialize_into(std::vector<Byte>& out) const;
-
-  /// Parse a serialized image; validates magic, counts, and bounds.
+  /// Parse a serialized image into a container of its own (copies it);
+  /// validates magic, counts, and bounds.
   [[nodiscard]] static Result<Container> deserialize(ByteSpan image);
 
+  /// Parse, in place, the `image_bytes`-byte image at kFrameRoom in
+  /// `buffer`: the container takes the buffer and views its payload.
+  /// Validates exactly as deserialize() does.
+  [[nodiscard]] static Result<Container> parse(FrameBuffer buffer,
+                                               std::uint64_t image_bytes);
+
+  /// Parse the first kHeaderSize bytes of an image of `image_bytes` bytes
+  /// and check that its sections fit in the image.
+  [[nodiscard]] static Result<Header> parse_header(ByteSpan header,
+                                                   std::uint64_t image_bytes);
+
  private:
+  void ensure_buffer();
+  [[nodiscard]] ByteSpan payload() const noexcept {
+    return ByteSpan(buffer_.data() + data_pos_, data_bytes_);
+  }
+  void write_header_and_metadata(std::vector<Byte>& out) const;
+
   std::uint64_t capacity_;
+  FramePool* pool_;
   ContainerId id_;
   std::vector<ChunkMeta> metadata_;
-  std::vector<Byte> data_;
+  FrameBuffer buffer_;
+  std::size_t data_pos_ = 0;     // payload start within buffer_
+  std::uint64_t data_bytes_ = 0;
+  std::size_t meta_slots_ = 0;   // metadata entries room in front of data_pos_
+  bool sealed_ = false;
 };
 
 }  // namespace debar::storage

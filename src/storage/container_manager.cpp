@@ -9,7 +9,7 @@ ContainerManager::ContainerManager(ChunkRepository* repository,
                                    std::uint64_t container_capacity)
     : repository_(repository),
       capacity_(container_capacity),
-      open_(container_capacity) {
+      open_(container_capacity, &repository->frame_pool()) {
   assert(repository_ != nullptr);
 }
 
@@ -28,7 +28,7 @@ void ContainerManager::flush(const SealCallback& on_seal) {
   std::vector<ChunkMeta> metadata = open_.metadata();
   const ContainerId id = repository_->append(std::move(open_));
   ++sealed_;
-  open_ = Container(capacity_);
+  open_ = Container(capacity_, &repository_->frame_pool());
   if (on_seal) on_seal(id, metadata);
 }
 

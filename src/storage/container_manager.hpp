@@ -3,6 +3,8 @@
 // Owns the open container a backup server is currently filling in SISL
 // (stream-informed segment layout) order, seals full containers into the
 // chunk repository, and serves container reads for restore/LPC prefetch.
+// The open container packs chunks straight into a frame buffer from the
+// repository's pool, and sealing writes that buffer through as it is.
 #pragma once
 
 #include <functional>

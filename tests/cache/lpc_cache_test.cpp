@@ -112,5 +112,29 @@ TEST(LpcCacheTest, HitRateMath) {
   EXPECT_NEAR(cache.hit_rate(), 2.0 / 3.0, 1e-12);
 }
 
+TEST(LpcCacheTest, NewestContainerAndFirstSlotWinAFingerprint) {
+  // Container 1 holds fingerprint X twice (payload 0x11 first, 0x22
+  // second); container 2, inserted later, holds X with payload 0x33.
+  const Fingerprint x = Sha1::hash_counter(7);
+  auto make = [&](std::uint64_t id, std::initializer_list<Byte> fills) {
+    auto c = std::make_shared<storage::Container>(64 * 1024);
+    for (const Byte fill : fills) {
+      std::vector<Byte> data(64, fill);
+      EXPECT_TRUE(c->try_append(x, ByteSpan(data.data(), data.size())));
+    }
+    c->set_id(ContainerId{id});
+    return c;
+  };
+  LpcCache cache(4);
+  cache.insert(make(1, {0x11, 0x22}));
+  ASSERT_TRUE(cache.find(x).has_value());
+  EXPECT_EQ((*cache.find(x))[0], 0x11);  // first slot within a container
+  cache.insert(make(2, {0x33}));
+  EXPECT_EQ((*cache.find(x))[0], 0x33);  // newest container
+  // Re-inserting the older container only refreshes it.
+  cache.insert(make(1, {0x11, 0x22}));
+  EXPECT_EQ((*cache.find(x))[0], 0x33);
+}
+
 }  // namespace
 }  // namespace debar::cache

@@ -260,6 +260,7 @@ TEST_F(ChunkStoreTest, RestoreUsesLpcPrefetch) {
   // SISL neighbourhood must hit.
   ASSERT_TRUE(store_.read_chunk(fp(0)).ok());
   const std::uint64_t misses_after_first = store_.lpc().misses();
+  EXPECT_EQ(misses_after_first, 1u);  // one container fetch, one miss
   for (std::uint64_t i = 1; i < 50; ++i) {
     ASSERT_TRUE(store_.read_chunk(fp(i)).ok());
   }

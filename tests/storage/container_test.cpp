@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "common/sha1.hpp"
+#include "storage/frame_pool.hpp"
 
 namespace debar::storage {
 namespace {
@@ -141,6 +145,147 @@ TEST(ContainerTest, PaperContainerHoldsAboutThousandChunks) {
   }
   EXPECT_GE(count, 1000u);
   EXPECT_LE(count, 1024u);
+}
+
+// ---- In-place layout and parsing -------------------------------------------
+
+/// A valid one-chunk image of a 4 KiB container.
+std::vector<Byte> small_image() {
+  Container c(4096);
+  const auto d = chunk_data(1, 128);
+  EXPECT_TRUE(
+      c.try_append(Sha1::hash_counter(9), ByteSpan(d.data(), d.size())));
+  return c.serialize();
+}
+
+/// Parse `image` in place inside a pooled buffer whose bytes past the
+/// image are garbage, as after a device read into a recycled frame.
+Result<Container> parse_in_pool(FramePool& pool, ByteSpan image) {
+  FrameBuffer buffer =
+      pool.acquire(Container::buffer_bytes(std::max<std::size_t>(
+          image.size(), 64)));
+  std::memset(buffer.data(), 0xAB, buffer.size());
+  if (!image.empty()) {
+    std::memcpy(buffer.data() + Container::kFrameRoom, image.data(),
+                image.size());
+  }
+  return Container::parse(std::move(buffer), image.size());
+}
+
+TEST(ContainerTest, InPlaceParseRejectsExactlyAsDeserialize) {
+  std::vector<std::vector<Byte>> bad;
+  bad.push_back({0x44, 0x42});  // shorter than the magic
+  {
+    std::vector<Byte> image = small_image();
+    image[0] ^= 0xFF;  // bad magic
+    bad.push_back(image);
+  }
+  {
+    std::vector<Byte> image = small_image();
+    image.resize(10);  // header cut short
+    bad.push_back(image);
+  }
+  {
+    std::vector<Byte> image = small_image();
+    image.resize(Container::kHeaderSize + 30);  // metadata cut short
+    bad.push_back(image);
+  }
+  {
+    std::vector<Byte> image = small_image();
+    image[12] = 0x7F;  // chunk count overflows the image
+    bad.push_back(image);
+  }
+  {
+    std::vector<Byte> image = small_image();
+    image[16] = 0x7F;  // data bytes overflow the image
+    bad.push_back(image);
+  }
+  {
+    std::vector<Byte> image = small_image();
+    const std::size_t size_off = Container::kHeaderSize + Fingerprint::kSize;
+    image[size_off + 3] = 0x7F;  // chunk 0 runs past the data section
+    bad.push_back(image);
+  }
+  auto pool = std::make_shared<FramePool>(2);
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const ByteSpan image(bad[i].data(), bad[i].size());
+    const Result<Container> copied = Container::deserialize(image);
+    const Result<Container> in_place = parse_in_pool(*pool, image);
+    ASSERT_FALSE(copied.ok()) << i;
+    ASSERT_FALSE(in_place.ok()) << i;
+    EXPECT_EQ(in_place.error().code, Errc::kCorrupt) << i;
+    EXPECT_EQ(in_place.error().code, copied.error().code) << i;
+    EXPECT_EQ(in_place.error().message, copied.error().message) << i;
+  }
+  const std::vector<Byte> good = small_image();
+  const Result<Container> parsed =
+      parse_in_pool(*pool, ByteSpan(good.data(), good.size()));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().serialize(), good);
+}
+
+TEST(ContainerTest, SealLaysOutTheSerializedImageInPlace) {
+  // Tiny chunks outgrow the metadata room reserved in front of the
+  // payload, so the payload moves several times before the seal.
+  Container c(4096);
+  std::vector<std::vector<Byte>> chunks;
+  for (int i = 0;; ++i) {
+    std::vector<Byte> d = chunk_data(i, 1 + i % 3);
+    if (!c.try_append(Sha1::hash_counter(i), ByteSpan(d.data(), d.size()))) {
+      break;
+    }
+    chunks.push_back(std::move(d));
+  }
+  ASSERT_GT(chunks.size(), 100u);
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const ByteSpan got = c.chunk_at(i);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), chunks[i].begin(),
+                           chunks[i].end()))
+        << i;
+  }
+  c.set_id(ContainerId{77});
+  const std::vector<Byte> want = c.serialize();
+  const std::span<Byte> frame = c.seal();
+  ASSERT_EQ(frame.size(), Container::kFrameRoom + 4096);
+  EXPECT_TRUE(std::equal(frame.begin() + Container::kFrameRoom, frame.end(),
+                         want.begin(), want.end()));
+  EXPECT_EQ(c.serialize(), want);
+  const Result<Container> back =
+      Container::deserialize(ByteSpan(want.data(), want.size()));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().metadata(), c.metadata());
+}
+
+TEST(FramePoolTest, RecyclesUpToItsBound) {
+  auto pool = std::make_shared<FramePool>(2);
+  const Byte* first = nullptr;
+  {
+    FrameBuffer a = pool->acquire(4096);
+    first = a.data();
+  }
+  EXPECT_EQ(pool->idle(), 1u);
+  {
+    FrameBuffer again = pool->acquire(4096);
+    EXPECT_EQ(again.data(), first);  // the released buffer, not a new one
+    EXPECT_EQ(pool->idle(), 0u);
+    FrameBuffer other_size = pool->acquire(100);
+    EXPECT_EQ(other_size.size(), 100u);
+  }
+  EXPECT_EQ(pool->idle(), 2u);
+  {
+    std::vector<FrameBuffer> many;
+    for (int i = 0; i < 5; ++i) many.push_back(pool->acquire(4096));
+  }
+  EXPECT_EQ(pool->idle(), 2u);
+}
+
+TEST(FramePoolTest, BufferMayOutliveItsPool) {
+  auto pool = std::make_shared<FramePool>(4);
+  FrameBuffer kept = pool->acquire(4096);
+  { FrameBuffer idle = pool->acquire(4096); }
+  pool.reset();  // frees the idle buffer
+  std::memset(kept.data(), 1, kept.size());
+  // `kept` is freed on its own when it goes out of scope.
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 // write-through, tombstoned removals, and reopen-by-scan.
 #include <gtest/gtest.h>
 
+#include "cache/lpc_cache.hpp"
 #include "common/sha1.hpp"
 #include "core/backup_engine.hpp"
+#include "core/chunk_store.hpp"
+#include "storage/chunk_log.hpp"
 #include "storage/chunk_repository.hpp"
 
 namespace debar::storage {
@@ -206,8 +209,8 @@ TEST(PersistentRepositoryTest, FrameIsHeaderThenSerializedContainer) {
   ChunkRepository repo(make_devices(1, &raw));
   std::vector<Byte> want;
   for (std::uint64_t c = 0; c < 3; ++c) {
+    const ContainerId id = repo.append(make_container(c * 100, 5 + c));
     Container container = make_container(c * 100, 5 + c);
-    const ContainerId id = repo.append(container);
     container.set_id(id);
     const std::vector<Byte> frame = frame_of(kLiveMagic, container);
     want.insert(want.end(), frame.begin(), frame.end());
@@ -260,6 +263,228 @@ TEST(PersistentRepositoryTest, HandWrittenLogReopens) {
   EXPECT_EQ(repo.stored_bytes(), payload - live[1].data_bytes());
   // IDs continue after the highest one on disk.
   EXPECT_EQ(repo.append(make_container(900, 2)).value, 10u);
+}
+
+// ---- The read path goes to the device ------------------------------------
+
+/// A memory device that counts reads and can be told to fail writes.
+class ProbeDevice final : public BlockDevice {
+ public:
+  Status read(std::uint64_t offset, std::span<Byte> out) override {
+    ++reads;
+    read_bytes += out.size();
+    last_read_bytes = out.size();
+    return inner.read(offset, out);
+  }
+  Status write(std::uint64_t offset, ByteSpan data) override {
+    if (fail_writes) return {Errc::kIoError, "injected write failure"};
+    return inner.write(offset, data);
+  }
+  std::uint64_t size() const override { return inner.size(); }
+  Status resize(std::uint64_t bytes) override { return inner.resize(bytes); }
+
+  MemBlockDevice inner;
+  std::uint64_t reads = 0;
+  std::uint64_t read_bytes = 0;
+  std::uint64_t last_read_bytes = 0;
+  bool fail_writes = false;
+};
+
+/// A one-node persistent repository over a ProbeDevice.
+std::unique_ptr<ChunkRepository> probed_repository(ProbeDevice** probe) {
+  auto device = std::make_unique<ProbeDevice>();
+  *probe = device.get();
+  std::vector<std::unique_ptr<BlockDevice>> devices;
+  devices.push_back(std::move(device));
+  return std::make_unique<ChunkRepository>(std::move(devices));
+}
+
+TEST(PersistentRepositoryTest, EachReadIsOneDeviceReadOfTheImage) {
+  ProbeDevice* probe = nullptr;
+  auto repo = probed_repository(&probe);
+  std::vector<ContainerId> ids;
+  for (std::uint64_t c = 0; c < 3; ++c) {
+    ids.push_back(repo->append(make_container(c * 100, 4 + c)));
+  }
+  ASSERT_EQ(probe->reads, 0u);
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t c = 0; c < ids.size(); ++c) {
+      const std::uint64_t before = probe->reads;
+      const Result<Container> got = repo->read(ids[c]);
+      ASSERT_TRUE(got.ok()) << got.error().to_string();
+      EXPECT_EQ(probe->reads, before + 1);
+      EXPECT_EQ(probe->last_read_bytes, 64u * 1024);  // the image length
+      EXPECT_TRUE(got.value().find(Sha1::hash_counter(c * 100)).has_value());
+    }
+  }
+}
+
+TEST(PersistentRepositoryTest, LpcHitIssuesNoDeviceRead) {
+  ProbeDevice* probe = nullptr;
+  auto repo = probed_repository(&probe);
+  const ContainerId id = repo->append(make_container(0, 8));
+  auto idx = index::DiskIndex::create(std::make_unique<MemBlockDevice>(),
+                                      {.prefix_bits = 4,
+                                       .blocks_per_bucket = 2});
+  ASSERT_TRUE(idx.ok());
+  ChunkLog log(std::make_unique<MemBlockDevice>());
+  core::ChunkStore store(std::move(idx).value(), core::ChunkStoreConfig{},
+                         repo.get(), &log,
+                         []() -> std::unique_ptr<BlockDevice> {
+                           return std::make_unique<MemBlockDevice>();
+                         });
+
+  // A miss (probe, then fetch, as a cluster restore does) reads the
+  // container once and counts once.
+  EXPECT_FALSE(store.lpc_probe(Sha1::hash_counter(0)).has_value());
+  EXPECT_EQ(probe->reads, 0u);
+  ASSERT_TRUE(store.read_chunk_at(Sha1::hash_counter(0), id).ok());
+  EXPECT_EQ(probe->reads, 1u);
+  EXPECT_EQ(store.lpc().misses(), 1u);
+  for (std::uint64_t i = 1; i < 8; ++i) {
+    const Result<std::vector<Byte>> chunk =
+        store.read_chunk(Sha1::hash_counter(i));
+    ASSERT_TRUE(chunk.ok());
+    EXPECT_EQ(chunk.value(),
+              core::BackupEngine::synthetic_payload(Sha1::hash_counter(i),
+                                                    700));
+  }
+  EXPECT_EQ(probe->reads, 1u);
+  EXPECT_EQ(store.lpc().misses(), 1u);
+  EXPECT_EQ(store.lpc().hits(), 7u);
+}
+
+TEST(PersistentRepositoryTest, OpenReadsOnlyHeaders) {
+  std::vector<MemBlockDevice*> raw;
+  std::vector<std::vector<Byte>> images;
+  {
+    ChunkRepository repo(make_devices(1, &raw));
+    for (std::uint64_t c = 0; c < 6; ++c) {
+      (void)repo.append(make_container(c * 100, 3 + c));
+    }
+    ASSERT_TRUE(repo.remove(ContainerId{2}).ok());
+    images = snapshot(raw);
+  }
+  auto device = std::make_unique<ProbeDevice>();
+  ProbeDevice* probe = device.get();
+  ASSERT_TRUE(
+      device->inner.write(0, ByteSpan(images[0].data(), images[0].size()))
+          .ok());
+  std::vector<std::unique_ptr<BlockDevice>> devices;
+  devices.push_back(std::move(device));
+  auto reopened = ChunkRepository::open(std::move(devices));
+  ASSERT_TRUE(reopened.ok()) << reopened.error().to_string();
+  EXPECT_EQ(reopened.value()->container_count(), 5u);
+  // Six frames (the tombstoned one included), each read as its 8-byte
+  // frame header plus the 17-byte container header.
+  EXPECT_EQ(probe->reads, 6u);
+  EXPECT_LE(probe->read_bytes, 6u * 25);
+}
+
+TEST(PersistentRepositoryTest, ReadSeesTheDeviceNotAMemoryCopy) {
+  std::vector<MemBlockDevice*> raw;
+  ChunkRepository repo(make_devices(1, &raw));
+  const ContainerId first = repo.append(make_container(0, 4));
+  const ContainerId second = repo.append(make_container(100, 4));
+  // Overwrite the second frame's container magic on the device itself.
+  const std::uint64_t second_frame = 8 + 64 * 1024;
+  const std::vector<Byte> junk = {0xEE, 0xEE, 0xEE, 0xEE};
+  ASSERT_TRUE(raw[0]
+                  ->write(second_frame + 8, ByteSpan(junk.data(), junk.size()))
+                  .ok());
+  const Result<Container> bad = repo.read(second);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error().code, Errc::kCorrupt);
+  EXPECT_TRUE(repo.read(first).ok());
+}
+
+TEST(PersistentRepositoryTest, FramePoolStaysWithinItsBound) {
+  ProbeDevice* probe = nullptr;
+  auto repo = probed_repository(&probe);
+  const std::size_t kContainers = ChunkRepository::kIdleFrames + 12;
+  std::vector<ContainerId> ids;
+  for (std::uint64_t c = 0; c < kContainers; ++c) {
+    ids.push_back(repo->append(make_container(c * 100, 3)));
+  }
+  FramePool& pool = repo->frame_pool();
+  EXPECT_EQ(pool.max_idle(), ChunkRepository::kIdleFrames);
+
+  // Restore-style: more distinct reads than a 4-container LPC holds.
+  cache::LpcCache lpc(4);
+  for (const ContainerId id : ids) {
+    Result<Container> got = repo->read(id);
+    ASSERT_TRUE(got.ok());
+    lpc.insert(std::make_shared<const Container>(std::move(got).value()));
+    EXPECT_LE(pool.idle(), pool.max_idle());
+  }
+  EXPECT_EQ(probe->reads, kContainers);
+  // Every container read at once, then released together.
+  {
+    std::vector<Container> all;
+    for (const ContainerId id : ids) {
+      Result<Container> got = repo->read(id);
+      ASSERT_TRUE(got.ok());
+      all.push_back(std::move(got).value());
+    }
+  }
+  EXPECT_EQ(pool.idle(), pool.max_idle());
+  lpc.clear();
+  EXPECT_EQ(pool.idle(), pool.max_idle());
+}
+
+TEST(PersistentRepositoryTest, RemovalAccountingInEveryMode) {
+  std::vector<MemBlockDevice*> raw;
+  std::vector<std::vector<Byte>> images;
+  ChunkRepository memory(2);
+  std::uint64_t payload = 0;
+  std::vector<std::uint64_t> sizes;
+  {
+    ChunkRepository persistent(make_devices(2, &raw));
+    for (std::uint64_t c = 0; c < 5; ++c) {
+      Container container = make_container(c * 100, 2 + c);
+      sizes.push_back(container.data_bytes());
+      payload += container.data_bytes();
+      (void)persistent.append(make_container(c * 100, 2 + c));
+      (void)memory.append(std::move(container));
+    }
+    for (ChunkRepository* repo : {&persistent, &memory}) {
+      EXPECT_EQ(repo->stored_bytes(), payload);
+      ASSERT_TRUE(repo->remove(ContainerId{2}).ok());
+      EXPECT_EQ(repo->stored_bytes(), payload - sizes[1]);
+      EXPECT_EQ(repo->remove(ContainerId{2}).code(), Errc::kNotFound);
+      EXPECT_EQ(repo->stored_bytes(), payload - sizes[1]);
+    }
+    images = snapshot(raw);
+  }
+  auto reopened = ChunkRepository::open(devices_from(images));
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened.value()->stored_bytes(), payload - sizes[1]);
+  ASSERT_TRUE(reopened.value()->remove(ContainerId{4}).ok());
+  EXPECT_EQ(reopened.value()->stored_bytes(), payload - sizes[1] - sizes[3]);
+}
+
+TEST(PersistentRepositoryTest, FailedWriteThroughStaysReadableAndIsReported) {
+  ProbeDevice* probe = nullptr;
+  auto repo = probed_repository(&probe);
+  const ContainerId good = repo->append(make_container(0, 3));
+  probe->fail_writes = true;
+  const ContainerId lost = repo->append(make_container(100, 3));
+  EXPECT_EQ(repo->take_backing_error().code(), Errc::kIoError);
+  EXPECT_TRUE(repo->take_backing_error().ok());  // reading clears it
+  probe->fail_writes = false;
+
+  // Until the failed round is dealt with, the container reads from memory;
+  // only the persisted one costs a device read.
+  const std::uint64_t before = probe->reads;
+  const Result<Container> held = repo->read(lost);
+  ASSERT_TRUE(held.ok());
+  EXPECT_TRUE(held.value().find(Sha1::hash_counter(100)).has_value());
+  EXPECT_EQ(probe->reads, before);
+  ASSERT_TRUE(repo->read(good).ok());
+  EXPECT_EQ(probe->reads, before + 1);
+  // Its ID was never framed on the device, so removal writes no tombstone.
+  ASSERT_TRUE(repo->remove(lost).ok());
+  EXPECT_EQ(repo->stored_bytes(), make_container(0, 3).data_bytes());
 }
 
 }  // namespace
