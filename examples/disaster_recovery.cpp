@@ -2,15 +2,82 @@
 // in-memory state, then rebuild both — the index from the self-describing
 // chunk repository (Section 4.1), the metadata catalogue from the
 // director's persistent metadata store (Section 6.3) — and restore and
-// verify a backup that predates the "crash".
+// verify a backup that predates the "crash". Restores stream straight into
+// files under a scratch directory through a RestoreSink, as a recovery
+// onto a replacement disk would, without holding a version in memory.
+#include <stdlib.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "core/backup_engine.hpp"
+#include "core/restore_sink.hpp"
 #include "core/metadata_store.hpp"
 #include "index/recovery.hpp"
 #include "workload/file_tree.hpp"
 
 using namespace debar;
+namespace fs = std::filesystem;
+
+namespace {
+
+/// Writes each restored file under `root`, chunk by chunk as it arrives.
+class DirectorySink final : public core::RestoreSink {
+ public:
+  explicit DirectorySink(fs::path root) : root_(std::move(root)) {}
+
+  Status begin_file(const core::FileRecord& file) override {
+    const fs::path path = root_ / fs::path(file.meta.path).relative_path();
+    std::error_code ec;
+    fs::create_directories(path.parent_path(), ec);
+    out_.open(path, std::ios::binary | std::ios::trunc);
+    if (ec || !out_) return {Errc::kIoError, "cannot create " + path.string()};
+    ++files_;
+    return Status::Ok();
+  }
+
+  Status chunk(ByteSpan data) override {
+    out_.write(reinterpret_cast<const char*>(data.data()),
+               static_cast<std::streamsize>(data.size()));
+    return out_ ? Status::Ok() : Status{Errc::kIoError, "short write"};
+  }
+
+  Status end_file() override {
+    out_.close();
+    return out_ ? Status::Ok() : Status{Errc::kIoError, "close failed"};
+  }
+
+  [[nodiscard]] std::size_t files() const noexcept { return files_; }
+
+ private:
+  fs::path root_;
+  std::ofstream out_;
+  std::size_t files_ = 0;
+};
+
+/// Whether every file of `expect` sits under `root` with its content.
+bool matches_on_disk(const fs::path& root, const core::Dataset& expect) {
+  for (const core::FileData& file : expect.files) {
+    std::ifstream in(root / fs::path(file.path).relative_path(),
+                     std::ios::binary);
+    if (!in) return false;
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    if (!std::equal(bytes.begin(), bytes.end(), file.content.begin(),
+                    file.content.end(),
+                    [](char a, Byte b) { return static_cast<Byte>(a) == b; })) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 int main() {
   storage::ChunkRepository repository(2);
@@ -81,30 +148,41 @@ int main() {
   // Transplant the recovered index into the fresh server's chunk store.
   fresh.chunk_store().index() = std::move(rebuilt).value();
 
+  // --- 4. Restore each version onto the "replacement disk". -----------
+  std::string scratch = (fs::temp_directory_path() / "debar-dr-XXXXXX").string();
+  if (mkdtemp(scratch.data()) == nullptr) {
+    std::fprintf(stderr, "cannot create a scratch directory\n");
+    return 1;
+  }
+  const fs::path target = scratch;
   core::BackupEngine restore_client("prod-db", &recovered_director);
-  for (std::uint32_t v = 1; v <= 2; ++v) {
+  int rc = 0;
+  for (std::uint32_t v = 1; v <= 2 && rc == 0; ++v) {
     const auto verify = restore_client.verify(job, v, fresh);
     if (!verify.ok() || !verify.value().clean()) {
       std::fprintf(stderr, "verify of version %u FAILED\n", v);
-      return 1;
+      rc = 1;
+      break;
     }
-    const auto restored = restore_client.restore(job, v, fresh, true);
-    if (!restored.ok()) {
+    const fs::path root = target / ("v" + std::to_string(v));
+    DirectorySink sink(root);
+    if (Status s = restore_client.restore(job, v, fresh, sink, true); !s.ok()) {
       std::fprintf(stderr, "restore of version %u failed: %s\n", v,
-                   restored.error().to_string().c_str());
-      return 1;
+                   s.to_string().c_str());
+      rc = 1;
+      break;
     }
-    const core::Dataset& expect = v == 1 ? v1 : v2;
-    for (std::size_t i = 0; i < expect.files.size(); ++i) {
-      if (restored.value().files[i].content != expect.files[i].content) {
-        std::fprintf(stderr, "version %u content mismatch\n", v);
-        return 1;
-      }
+    if (!matches_on_disk(root, v == 1 ? v1 : v2)) {
+      std::fprintf(stderr, "version %u content mismatch\n", v);
+      rc = 1;
+      break;
     }
-    std::printf("version %u: verified clean and restored byte-exact "
-                "(%zu files)\n",
-                v, restored.value().files.size());
+    std::printf("version %u: verified clean and restored byte-exact into "
+                "files (%zu files)\n",
+                v, sink.files());
   }
-  std::printf("\ndisaster recovery complete: no data lost\n");
-  return 0;
+  std::error_code ec;
+  fs::remove_all(target, ec);
+  if (rc == 0) std::printf("\ndisaster recovery complete: no data lost\n");
+  return rc;
 }

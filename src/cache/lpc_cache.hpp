@@ -32,6 +32,13 @@ class LpcCache {
   /// needed. Replaces any cached copy with the same ID.
   void insert(std::shared_ptr<const storage::Container> container);
 
+  /// Whether a chunk is cached. Unlike find() it counts neither a hit nor
+  /// a miss and leaves recency alone, so probing never changes what the
+  /// cache does next (restore's read-ahead finds the next miss with it).
+  [[nodiscard]] bool holds(const Fingerprint& fp) const {
+    return fp_to_chunk_.contains(fp);
+  }
+
   [[nodiscard]] bool contains_container(ContainerId id) const {
     return by_id_.contains(id.value);
   }

@@ -161,6 +161,79 @@ class Dedup1Workers {
   bool stop_ = false;
 };
 
+/// Whether a chunk's payload belongs to its fingerprint: it hashes back to
+/// it, or, for a synthetic payload, carries it as a stamp (a chunk shorter
+/// than a fingerprint cannot).
+bool content_matches(const Fingerprint& fp, ByteSpan data) {
+  const bool stamped = data.size() >= Fingerprint::kSize &&
+                       std::equal(fp.bytes.begin(), fp.bytes.end(),
+                                  data.begin());
+  return stamped || Sha1::hash(data) == fp;
+}
+
+/// What a restore does with each chunk beyond reading it: check it
+/// against the file index, send it over the server's NIC, and pass it on.
+class CheckedSink final : public RestoreSink {
+ public:
+  CheckedSink(RestoreSink& out, sim::NicModel& nic, bool verify)
+      : out_(out), nic_(nic), verify_(verify) {}
+
+  Status begin_file(const FileRecord& file) override {
+    file_ = &file;
+    next_ = 0;
+    return out_.begin_file(file);
+  }
+
+  Status chunk(ByteSpan data) override {
+    const std::size_t i = next_++;
+    if (data.size() != file_->chunk_sizes[i]) {
+      return {Errc::kCorrupt,
+              format("chunk {} of {} has size {} (expected {})", i,
+                     file_->meta.path, data.size(), file_->chunk_sizes[i])};
+    }
+    if (verify_ && !content_matches(file_->chunk_fps[i], data)) {
+      return {Errc::kCorrupt, format("chunk {} of {} failed verification", i,
+                                     file_->meta.path)};
+    }
+    // Restored content crosses the wire back to the client.
+    nic_.transfer(data.size());
+    return out_.chunk(data);
+  }
+
+  Status end_file() override { return out_.end_file(); }
+
+ private:
+  RestoreSink& out_;
+  sim::NicModel& nic_;
+  bool verify_;
+  const FileRecord* file_ = nullptr;
+  std::size_t next_ = 0;
+};
+
+/// Collects a restore into a Dataset.
+class DatasetSink final : public RestoreSink {
+ public:
+  explicit DatasetSink(Dataset& out) : out_(out) {}
+
+  Status begin_file(const FileRecord& file) override {
+    FileData& data = out_.files.emplace_back();
+    data.path = file.meta.path;
+    data.content.reserve(file.logical_bytes());
+    return Status::Ok();
+  }
+
+  Status chunk(ByteSpan data) override {
+    std::vector<Byte>& content = out_.files.back().content;
+    content.insert(content.end(), data.begin(), data.end());
+    return Status::Ok();
+  }
+
+  Status end_file() override { return Status::Ok(); }
+
+ private:
+  Dataset& out_;
+};
+
 }  // namespace
 
 BackupEngine::BackupEngine(std::string client_name, Director* director,
@@ -319,53 +392,37 @@ Result<BackupRunStats> BackupEngine::run_backup_stream(
   return stats;
 }
 
-Result<Dataset> BackupEngine::restore(std::uint64_t job_id,
-                                      std::uint32_t version,
-                                      BackupServer& server, bool verify) {
-  const std::optional<JobVersionRecord> record =
-      director_->version(job_id, version);
+Result<JobVersionRecord> BackupEngine::recorded(std::uint64_t job_id,
+                                                std::uint32_t version) const {
+  std::optional<JobVersionRecord> record = director_->version(job_id, version);
   if (!record.has_value()) {
     return Error{Errc::kNotFound,
                  format("job {} version {} not recorded", job_id, version)};
   }
+  return std::move(*record);
+}
 
+Status BackupEngine::restore(std::uint64_t job_id, std::uint32_t version,
+                             BackupServer& server, RestoreSink& sink,
+                             bool verify) {
+  const Result<JobVersionRecord> record = recorded(job_id, version);
+  if (!record.ok()) return record.status();
+  CheckedSink checked(sink, server.nic(), verify);
+  return server.chunk_store().restore(record.value().files, checked);
+}
+
+Result<Dataset> BackupEngine::restore(std::uint64_t job_id,
+                                      std::uint32_t version,
+                                      BackupServer& server, bool verify) {
+  const Result<JobVersionRecord> record = recorded(job_id, version);
+  if (!record.ok()) return record.error();
   Dataset out;
-  out.files.reserve(record->files.size());
-  for (const FileRecord& file : record->files) {
-    FileData data;
-    data.path = file.meta.path;
-    data.content.reserve(file.logical_bytes());
-    for (std::size_t i = 0; i < file.chunk_fps.size(); ++i) {
-      Result<std::vector<Byte>> chunk =
-          server.chunk_store().read_chunk(file.chunk_fps[i]);
-      if (!chunk.ok()) return chunk.error();
-      if (chunk.value().size() != file.chunk_sizes[i]) {
-        return Error{Errc::kCorrupt,
-                     format("chunk {} of {} has size {} (expected {})", i,
-                            file.meta.path, chunk.value().size(),
-                            file.chunk_sizes[i])};
-      }
-      if (verify) {
-        const Fingerprint actual = Sha1::hash(
-            ByteSpan(chunk.value().data(), chunk.value().size()));
-        // Synthetic payloads are stamped, not hashed; accept either form.
-        // (A chunk shorter than a fingerprint cannot carry a stamp.)
-        const bool stamped =
-            chunk.value().size() >= Fingerprint::kSize &&
-            std::equal(file.chunk_fps[i].bytes.begin(),
-                       file.chunk_fps[i].bytes.end(), chunk.value().begin());
-        if (actual != file.chunk_fps[i] && !stamped) {
-          return Error{Errc::kCorrupt,
-                       format("chunk {} of {} failed verification", i,
-                              file.meta.path)};
-        }
-      }
-      // Restored content crosses the wire back to the client.
-      server.nic().transfer(chunk.value().size());
-      data.content.insert(data.content.end(), chunk.value().begin(),
-                          chunk.value().end());
-    }
-    out.files.push_back(std::move(data));
+  out.files.reserve(record.value().files.size());
+  DatasetSink collect(out);
+  CheckedSink checked(collect, server.nic(), verify);
+  if (Status s = server.chunk_store().restore(record.value().files, checked);
+      !s.ok()) {
+    return Error{s.code(), s.message()};
   }
   return out;
 }
@@ -373,15 +430,11 @@ Result<Dataset> BackupEngine::restore(std::uint64_t job_id,
 Result<VerifyReport> BackupEngine::verify(std::uint64_t job_id,
                                           std::uint32_t version,
                                           BackupServer& server) {
-  const std::optional<JobVersionRecord> record =
-      director_->version(job_id, version);
-  if (!record.has_value()) {
-    return Error{Errc::kNotFound,
-                 format("job {} version {} not recorded", job_id, version)};
-  }
+  const Result<JobVersionRecord> record = recorded(job_id, version);
+  if (!record.ok()) return record.error();
 
   VerifyReport report;
-  for (const FileRecord& file : record->files) {
+  for (const FileRecord& file : record.value().files) {
     bool damaged = false;
     for (std::size_t i = 0; i < file.chunk_fps.size(); ++i) {
       ++report.chunks;
@@ -392,14 +445,9 @@ Result<VerifyReport> BackupEngine::verify(std::uint64_t job_id,
         damaged = true;
         continue;
       }
-      const Fingerprint actual =
-          Sha1::hash(ByteSpan(chunk.value().data(), chunk.value().size()));
-      const bool stamped =
-          chunk.value().size() >= Fingerprint::kSize &&
-          std::equal(file.chunk_fps[i].bytes.begin(),
-                     file.chunk_fps[i].bytes.end(), chunk.value().begin());
-      if (chunk.value().size() != file.chunk_sizes[i] ||
-          (actual != file.chunk_fps[i] && !stamped)) {
+      const ByteSpan data(chunk.value().data(), chunk.value().size());
+      if (data.size() != file.chunk_sizes[i] ||
+          !content_matches(file.chunk_fps[i], data)) {
         ++report.corrupt_chunks;
         damaged = true;
         continue;

@@ -23,6 +23,7 @@
 #include "core/backup_server.hpp"
 #include "core/director.hpp"
 #include "core/metadata.hpp"
+#include "core/restore_sink.hpp"
 
 namespace debar::core {
 
@@ -99,8 +100,17 @@ class BackupEngine {
       std::uint64_t job_id, std::span<const Fingerprint> stream,
       FileStore& store, std::uint32_t chunk_size = kExpectedChunkSize);
 
-  /// Restore version `version` of `job_id` from `server`, verifying each
-  /// chunk's payload hashes back to its fingerprint when `verify` is set.
+  /// Restore version `version` of `job_id` from `server` into `sink`
+  /// (DESIGN.md §5o): each file's chunks in recipe order, each as a span
+  /// of the server's cached container. Every chunk's size is checked
+  /// against the file index, its payload is checked to hash back to its
+  /// fingerprint when `verify` is set, and it crosses the server's NIC
+  /// before the sink sees it. The first failure stops the restore.
+  [[nodiscard]] Status restore(std::uint64_t job_id, std::uint32_t version,
+                               BackupServer& server, RestoreSink& sink,
+                               bool verify = false);
+
+  /// The same restore, collected into a Dataset held in memory.
   [[nodiscard]] Result<Dataset> restore(std::uint64_t job_id,
                                         std::uint32_t version,
                                         BackupServer& server,
@@ -140,6 +150,10 @@ class BackupEngine {
   }
 
  private:
+  /// The recorded version's file records, or kNotFound.
+  [[nodiscard]] Result<JobVersionRecord> recorded(std::uint64_t job_id,
+                                                  std::uint32_t version) const;
+
   std::string name_;
   Director* director_;
   std::unique_ptr<chunking::Chunker> chunker_;

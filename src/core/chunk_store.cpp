@@ -1,6 +1,7 @@
 #include "core/chunk_store.hpp"
 
 #include <cassert>
+#include <future>
 #include <unordered_set>
 
 #include "common/log.hpp"
@@ -83,6 +84,154 @@ Result<StoreResult> ChunkStore::store_new_chunks(
     return false;
   });
   return result;
+}
+
+/// The container of the next LPC miss, located and charged ahead of need,
+/// and its device read in flight on the dedup-2 pool.
+struct ChunkStore::ReadAhead {
+  Cursor at;                // the miss it serves
+  Status status;            // the error locating or charging it met
+  storage::ChunkRepository::PendingRead read;
+  storage::FrameBuffer buffer;
+  std::future<Status> fetched;  // valid until taken or settled
+};
+
+Status ChunkStore::restore(std::span<const FileRecord> files,
+                           RestoreSink& sink) {
+  // Read ahead only where a miss costs a device read and a pool can make
+  // it; otherwise every miss reads at the miss, as read_chunk() does.
+  ThreadPool* const pool =
+      repository_->persistent() ? dedup2_pool().workers() : nullptr;
+  std::optional<ReadAhead> ahead;
+  // However the restore exits, the read in flight finishes before its
+  // frame, the repository or the caller's recipe can go away.
+  struct Settle {
+    ChunkStore& store;
+    std::optional<ReadAhead>& ahead;
+    ~Settle() {
+      if (ahead.has_value()) store.settle(*ahead);
+    }
+  } settle_on_exit{*this, ahead};
+
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    const FileRecord& file = files[f];
+    if (Status s = sink.begin_file(file); !s.ok()) return s;
+    for (std::size_t i = 0; i < file.chunk_fps.size(); ++i) {
+      const Fingerprint& fp = file.chunk_fps[i];
+      if (const std::optional<ByteSpan> hit = lpc_.find(fp)) {
+        if (Status s = sink.chunk(*hit); !s.ok()) return s;
+        continue;
+      }
+      assert((!ahead.has_value() || ahead->at == Cursor{f, i}) &&
+             "between two misses every access hits");
+      Result<storage::Container> container = fetch_miss(fp, ahead);
+      ahead.reset();
+      const Result<ByteSpan> chunk =
+          cache_container(fp, std::move(container), pool != nullptr);
+      if (!chunk.ok()) return chunk.status();
+      if (Status s = sink.chunk(chunk.value()); !s.ok()) return s;
+      if (pool == nullptr) continue;
+      // Hits change recency, never membership: the first later chunk the
+      // LPC does not hold now is exactly the next miss.
+      if (const std::optional<Cursor> next = next_miss(files, {f, i})) {
+        read_ahead(files[next->file].chunk_fps[next->chunk], *next, *pool,
+                   ahead);
+      }
+    }
+    if (Status s = sink.end_file(); !s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
+std::optional<ChunkStore::Cursor> ChunkStore::next_miss(
+    std::span<const FileRecord> files, Cursor from) const {
+  ++from.chunk;
+  for (; from.file < files.size(); ++from.file, from.chunk = 0) {
+    const std::vector<Fingerprint>& fps = files[from.file].chunk_fps;
+    for (; from.chunk < fps.size(); ++from.chunk) {
+      if (!lpc_.holds(fps[from.chunk])) return from;
+    }
+  }
+  return std::nullopt;
+}
+
+void ChunkStore::read_ahead(const Fingerprint& fp, Cursor at, ThreadPool& pool,
+                            std::optional<ReadAhead>& ahead) {
+  ReadAhead& next = ahead.emplace();
+  next.at = at;
+  // The locate and the repository charge a read at the miss would make,
+  // made now: only hits, which charge neither, come in between.
+  const Result<ContainerId> cid = locate(fp);
+  if (!cid.ok()) {
+    next.status = cid.status();
+    return;
+  }
+  Result<storage::ChunkRepository::PendingRead> read =
+      repository_->charge_read(cid.value());
+  if (!read.ok()) {
+    next.status = read.status();
+    return;
+  }
+  next.read = std::move(read).value();
+  if (next.read.held != nullptr) return;  // in memory: nothing to fetch
+  // The spare frame was taken at the last miss; only a container of
+  // another capacity needs a frame of its own here.
+  if (spare_.size() != next.read.buffer_bytes()) {
+    spare_ = repository_->frame_pool().acquire(next.read.buffer_bytes());
+  }
+  next.buffer = std::move(spare_);
+  next.fetched = pool.submit([repository = repository_, &next] {
+    return repository->read_into(next.read, next.buffer);
+  });
+}
+
+Result<storage::Container> ChunkStore::fetch_miss(
+    const Fingerprint& fp, std::optional<ReadAhead>& ahead) {
+  if (!ahead.has_value()) {
+    const Result<ContainerId> cid = locate(fp);
+    if (!cid.ok()) return cid.error();
+    return containers_.read(cid.value());
+  }
+  if (!ahead->status.ok()) {
+    return Error{ahead->status.code(), ahead->status.message()};
+  }
+  if (ahead->read.held != nullptr) {
+    return storage::Container::deserialize(ahead->read.held->image());
+  }
+  if (Status s = ahead->fetched.get(); !s.ok()) {
+    spare_ = std::move(ahead->buffer);
+    return Error{s.code(), s.message()};
+  }
+  return storage::Container::parse(std::move(ahead->buffer),
+                                   ahead->read.image_bytes);
+}
+
+void ChunkStore::settle(ReadAhead& ahead) {
+  if (ahead.fetched.valid()) ahead.fetched.wait();
+  if (ahead.buffer) spare_ = std::move(ahead.buffer);
+}
+
+Result<ByteSpan> ChunkStore::cache_container(
+    const Fingerprint& fp, Result<storage::Container> container,
+    bool refill_spare) {
+  if (!container.ok()) return container.error();
+  auto shared =
+      std::make_shared<const storage::Container>(std::move(container).value());
+  const std::optional<ByteSpan> chunk = shared->find(fp);
+  if (!chunk.has_value()) {
+    return Error{Errc::kCorrupt,
+                 "index maps fingerprint to a container that lacks it"};
+  }
+  // The next read-ahead's frame comes from the pool here, where a read at
+  // the miss takes its own, before the insert below returns an evicted
+  // container's frame: the pool sees the traffic a per-chunk restore
+  // makes (DESIGN.md §5o).
+  if (refill_spare && !spare_) {
+    spare_ = repository_->frame_pool().acquire(
+        storage::Container::buffer_bytes(shared->capacity()));
+  }
+  lpc_.insert(std::move(shared));  // prefetch the whole container (LPC)
+  return *chunk;
 }
 
 std::optional<std::vector<Byte>> ChunkStore::lpc_probe(const Fingerprint& fp) {

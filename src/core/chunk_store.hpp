@@ -7,7 +7,9 @@
 //   store_new_chunks() replay the chunk log, write genuinely new chunks
 //                      to containers in SISL order, and emit the
 //                      <fingerprint, containerID> entries;
-//   read_chunk()       restore through LPC with container prefetch.
+//   restore()          planned restore of a recipe through the LPC, with
+//                      the container of the next miss read ahead;
+//   read_chunk()       one chunk through the LPC, with container prefetch.
 //
 // A single-server dedup-2 is sil -> store -> add_pending -> (maybe) siu;
 // the Cluster interleaves routing exchanges between the same calls for
@@ -17,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cache/index_cache.hpp"
@@ -25,6 +28,8 @@
 #include "common/result.hpp"
 #include "common/types.hpp"
 #include "core/index_part.hpp"
+#include "core/metadata.hpp"
+#include "core/restore_sink.hpp"
 #include "index/disk_index.hpp"
 #include "storage/chunk_log.hpp"
 #include "storage/container_manager.hpp"
@@ -83,6 +88,18 @@ class ChunkStore : public IndexPart {
 
   // ---- Restore path ----
 
+  /// Planned restore (DESIGN.md §5o): pass every chunk of `files`, in
+  /// recipe order, to `sink` as a span of the container the LPC caches.
+  /// Locates, repository reads, LPC hits and misses and every modeled
+  /// clock come in the order a read_chunk() loop over the same recipe
+  /// makes them, and the first error stops the restore as it would stop
+  /// that loop. With a persistent repository and a multi-thread dedup-2
+  /// pool, the container of the next LPC miss is located, charged and
+  /// read on the pool while the hits before it are served; at most one
+  /// such read is in flight, and it has finished when this returns.
+  [[nodiscard]] Status restore(std::span<const FileRecord> files,
+                               RestoreSink& sink);
+
   /// LPC-only probe: the chunk if its container is cached, else nullopt
   /// with no device I/O. Cluster restores try this on the serving server
   /// before paying the owner-side index lookup.
@@ -120,11 +137,42 @@ class ChunkStore : public IndexPart {
   }
 
  private:
+  /// A recipe position: chunk `chunk` of file `file`.
+  struct Cursor {
+    std::size_t file = 0;
+    std::size_t chunk = 0;
+    friend bool operator==(const Cursor&, const Cursor&) = default;
+  };
+  struct ReadAhead;
+
+  /// Where the next LPC miss after `from` is: the first later chunk the
+  /// LPC does not hold, or nullopt.
+  [[nodiscard]] std::optional<Cursor> next_miss(
+      std::span<const FileRecord> files, Cursor from) const;
+  /// Locate and charge the container of the miss at `at`, and read it
+  /// into the spare frame on `pool`.
+  void read_ahead(const Fingerprint& fp, Cursor at, ThreadPool& pool,
+                  std::optional<ReadAhead>& ahead);
+  /// The container of the miss on `fp`: the one `ahead` read for it, or
+  /// the error `ahead` met, or, with no read-ahead, a locate and a read.
+  [[nodiscard]] Result<storage::Container> fetch_miss(
+      const Fingerprint& fp, std::optional<ReadAhead>& ahead);
+  /// Wait out a read-ahead's device read and keep its frame as the spare.
+  void settle(ReadAhead& ahead);
+  /// Cache the container fetched for a restore's miss on `fp` in the LPC
+  /// and return the chunk's span there. With `refill_spare`, a frame for
+  /// the next read-ahead is taken from the pool first.
+  [[nodiscard]] Result<ByteSpan> cache_container(
+      const Fingerprint& fp, Result<storage::Container> container,
+      bool refill_spare);
+
   ChunkStoreConfig config_;
   storage::ChunkRepository* repository_;
   storage::ContainerManager containers_;
   storage::ChunkLog* log_;
   cache::LpcCache lpc_;
+  /// The frame the next read-ahead reads into, held between restores.
+  storage::FrameBuffer spare_;
 };
 
 }  // namespace debar::core

@@ -10,12 +10,16 @@
 namespace debar::core {
 
 index::ParallelIoOptions Dedup2Pool::io_options() {
+  return {workers(), plan_.resolved_threads(), plan_.pipeline_depth};
+}
+
+ThreadPool* Dedup2Pool::workers() {
   const std::size_t threads = plan_.resolved_threads();
   if (threads > 1) {
     std::call_once(started_,
                    [&] { pool_ = std::make_unique<ThreadPool>(threads); });
   }
-  return {pool_.get(), threads, plan_.pipeline_depth};
+  return pool_.get();
 }
 
 IndexPart::IndexPart(index::DiskIndex idx, std::uint64_t io_buckets,

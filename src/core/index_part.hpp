@@ -68,6 +68,10 @@ class Dedup2Pool {
   /// The parallel-scan options for the plan. Thread-safe.
   [[nodiscard]] index::ParallelIoOptions io_options();
 
+  /// The pool's workers, started on first call; nullptr when the plan
+  /// resolves to one thread. Thread-safe.
+  [[nodiscard]] ThreadPool* workers();
+
  private:
   Dedup2Options plan_;
   std::once_flag started_;
@@ -134,6 +138,9 @@ class IndexPart {
     return index_;
   }
   [[nodiscard]] index::DiskIndex& index() noexcept { return index_; }
+
+ protected:
+  [[nodiscard]] Dedup2Pool& dedup2_pool() const noexcept { return *pool_; }
 
  private:
   [[nodiscard]] double index_clock_seconds() const;

@@ -182,37 +182,46 @@ bool ChunkRepository::write_through_locked(std::size_t node,
 }
 
 Result<Container> ChunkRepository::read(ContainerId id) const {
-  Entry entry;
-  BlockDevice* device = nullptr;
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = entries_.find(id.value);
-    if (it == entries_.end()) {
-      return Error{Errc::kNotFound,
-                   debar::format("container {} not in repository", id.value)};
-    }
-    entry = it->second;
-    const std::size_t node_idx = node_of_locked(id);
-    // Container reads land at arbitrary log positions: one seek + transfer.
-    nodes_[node_idx]->model.seek();
-    nodes_[node_idx]->model.stream(entry.image_bytes);
-    if (entry.held == nullptr) device = backing_[node_idx].get();
-  }
-
+  Result<PendingRead> pending = charge_read(id);
+  if (!pending.ok()) return pending.error();
+  const PendingRead& read = pending.value();
   // Memory-only: parse a copy of the held image, as deserialize() makes.
-  if (device == nullptr) return Container::deserialize(entry.held->image());
-  FrameBuffer buffer =
-      pool_->acquire(Container::buffer_bytes(entry.image_bytes));
-  {
-    std::shared_lock io(io_mutex_);
-    if (Status s = read_with_retry(
-            *device, entry.offset + kFrameHeader,
-            std::span<Byte>(buffer.data() + kFrameHeader, entry.image_bytes));
-        !s.ok()) {
-      return Error{s.code(), s.message()};
-    }
+  if (read.held != nullptr) return Container::deserialize(read.held->image());
+  FrameBuffer buffer = pool_->acquire(read.buffer_bytes());
+  if (Status s = read_into(read, buffer); !s.ok()) {
+    return Error{s.code(), s.message()};
   }
-  return Container::parse(std::move(buffer), entry.image_bytes);
+  return Container::parse(std::move(buffer), read.image_bytes);
+}
+
+Result<ChunkRepository::PendingRead> ChunkRepository::charge_read(
+    ContainerId id) const {
+  std::lock_guard lock(mutex_);
+  const auto it = entries_.find(id.value);
+  if (it == entries_.end()) {
+    return Error{Errc::kNotFound,
+                 debar::format("container {} not in repository", id.value)};
+  }
+  const Entry& entry = it->second;
+  const std::size_t node_idx = node_of_locked(id);
+  // Container reads land at arbitrary log positions: one seek + transfer.
+  nodes_[node_idx]->model.seek();
+  nodes_[node_idx]->model.stream(entry.image_bytes);
+  PendingRead read{.image_bytes = entry.image_bytes, .held = entry.held};
+  if (entry.held == nullptr) {
+    read.device = backing_[node_idx].get();
+    read.offset = entry.offset + kFrameHeader;
+  }
+  return read;
+}
+
+Status ChunkRepository::read_into(const PendingRead& read,
+                                  FrameBuffer& buffer) const {
+  assert(read.device != nullptr && buffer.size() == read.buffer_bytes());
+  std::shared_lock io(io_mutex_);
+  return read_with_retry(
+      *read.device, read.offset,
+      std::span<Byte>(buffer.data() + kFrameHeader, read.image_bytes));
 }
 
 std::size_t ChunkRepository::node_of(ContainerId id) const {

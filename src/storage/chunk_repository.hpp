@@ -85,8 +85,38 @@ class ChunkRepository {
   /// Fetch a container image by ID and parse it. A persistent repository
   /// reads the image from its node device with one device read, outside
   /// the repository lock; the container owns the pooled buffer it was
-  /// read into until it is destroyed.
+  /// read into until it is destroyed. It is charge_read(), then
+  /// read_into() a buffer from frame_pool(), then Container::parse().
   [[nodiscard]] Result<Container> read(ContainerId id) const;
+
+  /// A container read charged to its node's DiskModel but not fetched.
+  struct PendingRead {
+    std::uint64_t image_bytes = 0;
+    /// Set when the repository holds the container in memory (memory-only
+    /// mode, or a failed write-through): there is nothing to fetch, and
+    /// Container::deserialize(held->image()) reads it.
+    std::shared_ptr<const Container> held;
+    BlockDevice* device = nullptr;
+    std::uint64_t offset = 0;  // of the image on `device`
+
+    [[nodiscard]] std::size_t buffer_bytes() const {
+      return Container::buffer_bytes(image_bytes);
+    }
+  };
+
+  /// The first step of read(): find the container and charge its node's
+  /// model one seek plus the image's transfer. kNotFound if absent.
+  [[nodiscard]] Result<PendingRead> charge_read(ContainerId id) const;
+
+  /// The second step of read(): fetch a charged image from its device
+  /// into `buffer` (buffer_bytes() long, image at Container::kFrameRoom)
+  /// with one device read, outside the repository lock. Thread-safe; the
+  /// repository must outlive the call.
+  [[nodiscard]] Status read_into(const PendingRead& read,
+                                 FrameBuffer& buffer) const;
+
+  /// Whether containers live on node devices (and reads go to them).
+  [[nodiscard]] bool persistent() const noexcept { return !backing_.empty(); }
 
   /// Idle frame buffers the pool keeps: the default LPC's 16 containers
   /// plus the dedup-2 stores that may be sealing at once.

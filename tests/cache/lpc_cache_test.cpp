@@ -57,6 +57,27 @@ TEST(LpcCacheTest, EvictsLeastRecentlyUsedContainer) {
   EXPECT_FALSE(cache.find(Sha1::hash_counter(100)).has_value());
 }
 
+TEST(LpcCacheTest, HoldsProbesWithoutCountingOrTouching) {
+  LpcCache cache(2);
+  cache.insert(make_container(1, 0, 5));
+  cache.insert(make_container(2, 100, 5));
+  // Container 1 is LRU. Probing its chunks (and an absent one) must leave
+  // the counters and the recency order alone.
+  EXPECT_TRUE(cache.holds(Sha1::hash_counter(0)));
+  EXPECT_TRUE(cache.holds(Sha1::hash_counter(104)));
+  EXPECT_FALSE(cache.holds(Sha1::hash_counter(500)));
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+
+  cache.insert(make_container(3, 200, 5));
+  EXPECT_FALSE(cache.contains_container(ContainerId{1}));
+  EXPECT_FALSE(cache.holds(Sha1::hash_counter(0)));
+  EXPECT_TRUE(cache.contains_container(ContainerId{2}));
+  EXPECT_TRUE(cache.holds(Sha1::hash_counter(200)));
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+}
+
 TEST(LpcCacheTest, ReinsertSameContainerRefreshes) {
   LpcCache cache(2);
   cache.insert(make_container(1, 0, 5));

@@ -1,0 +1,456 @@
+// Planned restore (DESIGN.md §5o) against a per-chunk read_chunk() loop.
+// Twin servers on file devices back up the same aged generations; one
+// restores through BackupEngine's RestoreSink path, which reads the next
+// LPC miss's container ahead on the dedup-2 pool, the other chunk by
+// chunk. Bytes, LPC counters, modeled clocks and the device read
+// sequence must match exactly, and so must the failures: a read-ahead
+// whose device read fails, a later chunk that cannot be located, and a
+// sink that stops the restore while a read-ahead is in flight. Written
+// for TSan: the read-ahead reads the repository device on a pool thread
+// while the caller serves hits.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <bit>
+#include <chrono>
+#include <filesystem>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <unistd.h>
+
+#include "common/sha1.hpp"
+#include "core/backup_engine.hpp"
+#include "storage/block_device.hpp"
+#include "storage/faulty_block_device.hpp"
+#include "workload/file_tree.hpp"
+
+namespace debar::core {
+namespace {
+
+namespace fs = std::filesystem;
+
+constexpr std::size_t kLpcContainers = 4;
+
+/// One device read, as the devices under a deployment saw it.
+struct DeviceRead {
+  std::string device;
+  std::uint64_t offset = 0;
+  std::uint64_t bytes = 0;
+  bool operator==(const DeviceRead&) const = default;
+};
+
+/// Every device read of a deployment, in order, and which of them ran off
+/// the thread that drives the deployment.
+struct ReadLog {
+  std::mutex mutex;
+  std::vector<DeviceRead> reads;
+  std::size_t off_caller = 0;
+  std::thread::id caller = std::this_thread::get_id();
+};
+
+/// Records each read into a ReadLog; repository reads can be slowed down,
+/// and the reads inside this device are counted while they run.
+class RecordingDevice final : public storage::BlockDevice {
+ public:
+  RecordingDevice(std::string name, std::unique_ptr<storage::BlockDevice> inner,
+                  ReadLog& log)
+      : name_(std::move(name)), inner_(std::move(inner)), log_(log) {}
+
+  Status read(std::uint64_t offset, std::span<Byte> out) override {
+    {
+      std::lock_guard lock(log_.mutex);
+      log_.reads.push_back({name_, offset, out.size()});
+      if (std::this_thread::get_id() != log_.caller) ++log_.off_caller;
+    }
+    in_flight.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms.load()));
+    Status s = inner_->read(offset, out);
+    in_flight.fetch_sub(1);
+    if (s.ok()) account(offset, out.size());
+    return s;
+  }
+  Status write(std::uint64_t offset, ByteSpan data) override {
+    Status s = inner_->write(offset, data);
+    if (s.ok()) account(offset, data.size());
+    return s;
+  }
+  std::uint64_t size() const override { return inner_->size(); }
+  Status resize(std::uint64_t bytes) override { return inner_->resize(bytes); }
+
+  std::atomic<int> delay_ms{0};
+  std::atomic<int> in_flight{0};
+
+ private:
+  std::string name_;
+  std::unique_ptr<storage::BlockDevice> inner_;
+  ReadLog& log_;
+};
+
+/// Collects what a restore hands its sink; can fail at a given chunk and
+/// run a hook on every chunk it accepts.
+class CollectingSink final : public RestoreSink {
+ public:
+  Status begin_file(const FileRecord& file) override {
+    files.push_back({file.meta.path, {}});
+    return Status::Ok();
+  }
+  Status chunk(ByteSpan data) override {
+    if (chunks == fail_at) return {Errc::kIoError, "sink refused the chunk"};
+    ++chunks;
+    files.back().second.insert(files.back().second.end(), data.begin(),
+                               data.end());
+    if (on_chunk) on_chunk(chunks);
+    return Status::Ok();
+  }
+  Status end_file() override { return Status::Ok(); }
+
+  std::vector<std::pair<std::string, std::vector<Byte>>> files;
+  std::size_t chunks = 0;
+  std::size_t fail_at = ~std::size_t{0};
+  std::function<void(std::size_t)> on_chunk;
+};
+
+/// A restore's observable outcome on one deployment.
+struct Outcome {
+  Errc code = Errc::kOk;
+  std::vector<std::pair<std::string, std::vector<Byte>>> files;
+  std::size_t chunks = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::vector<DeviceRead> reads;
+  std::size_t reads_off_caller = 0;  // made on another thread
+};
+
+/// A file-backed server aged by `generations` backups with forced
+/// dedup-2. Its repository device fails reads once `injector` is armed.
+class Deployment {
+ public:
+  Deployment(const fs::path& dir, const std::vector<Dataset>& generations)
+      : dir_(dir) {
+    fs::create_directories(dir_);
+    injector_ = std::make_shared<storage::FaultInjector>(
+        storage::FaultConfig{.seed = 5});
+    auto repo_device = std::make_unique<RecordingDevice>(
+        "repo",
+        std::make_unique<storage::FaultyBlockDevice>(open_file("repo"),
+                                                     injector_),
+        log_);
+    repo_device_ = repo_device.get();
+    std::vector<std::unique_ptr<storage::BlockDevice>> nodes;
+    nodes.push_back(std::move(repo_device));
+    repository_ = std::make_unique<storage::ChunkRepository>(std::move(nodes));
+
+    BackupServerConfig cfg;
+    cfg.index_params = {.prefix_bits = 6, .blocks_per_bucket = 4};
+    cfg.container_capacity = 256 * KiB;
+    cfg.chunk_store.siu_threshold = 1;
+    cfg.chunk_store.lpc_containers = kLpcContainers;
+    cfg.chunk_store.dedup2.threads = 2;
+    cfg.log_device_factory = [this] { return mint("log"); };
+    cfg.index_device_factory = [this] { return mint("index"); };
+    server_ = std::make_unique<BackupServer>(0, cfg, repository_.get(),
+                                             &director_);
+    job_ = director_.define_job("client", "tree");
+    BackupEngine engine("client", &director_);
+    for (const Dataset& data : generations) {
+      EXPECT_TRUE(engine.run_backup(job_, data, server_->file_store()).ok());
+      EXPECT_TRUE(server_->run_dedup2(true).ok());
+    }
+  }
+
+  ~Deployment() {
+    server_.reset();
+    repository_.reset();
+    fs::remove_all(dir_);
+  }
+
+  [[nodiscard]] std::vector<FileRecord> files_of(std::uint32_t version) {
+    return director_.version(job_, version).value().files;
+  }
+
+  /// Restore `version` through BackupEngine's planned path into `sink`.
+  Outcome planned(std::uint32_t version, CollectingSink& sink) {
+    BackupEngine engine("client", &director_);
+    return observe(sink, [&] {
+      return engine.restore(job_, version, *server_, sink);
+    });
+  }
+
+  /// Restore `files` through ChunkStore::restore straight into `sink`.
+  Outcome planned(std::span<const FileRecord> files, CollectingSink& sink) {
+    return observe(sink, [&] {
+      return server_->chunk_store().restore(files, sink);
+    });
+  }
+
+  /// The reference: one read_chunk() per chunk, as restores were made
+  /// before the planned path, with the size check and NIC transfer the
+  /// engine makes. `nic` off restores raw chunks, as ChunkStore does.
+  Outcome per_chunk(std::span<const FileRecord> files, CollectingSink& sink,
+                    bool nic = true) {
+    return observe(sink, [&]() -> Status {
+      for (const FileRecord& file : files) {
+        if (Status s = sink.begin_file(file); !s.ok()) return s;
+        for (std::size_t i = 0; i < file.chunk_fps.size(); ++i) {
+          const std::uint64_t misses = server_->chunk_store().lpc().misses();
+          Result<std::vector<Byte>> chunk =
+              server_->chunk_store().read_chunk(file.chunk_fps[i]);
+          if (!chunk.ok()) return chunk.status();
+          if (server_->chunk_store().lpc().misses() != misses) {
+            miss_files.push_back(&file - files.data());
+          }
+          if (nic) {
+            if (chunk.value().size() != file.chunk_sizes[i]) {
+              return {Errc::kCorrupt, "chunk size"};
+            }
+            server_->nic().transfer(chunk.value().size());
+          }
+          if (Status s = sink.chunk(ByteSpan(chunk.value().data(),
+                                             chunk.value().size()));
+              !s.ok()) {
+            return s;
+          }
+        }
+        if (Status s = sink.end_file(); !s.ok()) return s;
+      }
+      return Status::Ok();
+    });
+  }
+
+  [[nodiscard]] BackupServer& server() { return *server_; }
+  [[nodiscard]] storage::ChunkRepository& repository() { return *repository_; }
+  [[nodiscard]] storage::FaultInjector& injector() { return *injector_; }
+  [[nodiscard]] RecordingDevice& repo_device() { return *repo_device_; }
+
+  /// The file index of every per-chunk miss, in order.
+  std::vector<std::size_t> miss_files;
+
+ private:
+  template <class Run>
+  Outcome observe(CollectingSink& sink, Run run) {
+    const cache::LpcCache& lpc = server_->chunk_store().lpc();
+    const std::uint64_t hits = lpc.hits();
+    const std::uint64_t misses = lpc.misses();
+    std::size_t first_read = 0;
+    std::size_t off_caller = 0;
+    {
+      std::lock_guard lock(log_.mutex);
+      first_read = log_.reads.size();
+      off_caller = log_.off_caller;
+    }
+    Outcome out;
+    out.code = run().code();
+    out.files = sink.files;
+    out.chunks = sink.chunks;
+    out.hits = lpc.hits() - hits;
+    out.misses = lpc.misses() - misses;
+    std::lock_guard lock(log_.mutex);
+    out.reads.assign(log_.reads.begin() + static_cast<std::ptrdiff_t>(first_read),
+                     log_.reads.end());
+    out.reads_off_caller = log_.off_caller - off_caller;
+    return out;
+  }
+
+  std::unique_ptr<storage::BlockDevice> open_file(const std::string& name) {
+    auto opened = storage::FileBlockDevice::open(dir_ / name);
+    EXPECT_TRUE(opened.ok()) << opened.error().to_string();
+    return std::move(opened).value();
+  }
+
+  std::unique_ptr<storage::BlockDevice> mint(const std::string& stem) {
+    const std::string name = stem + "-" + std::to_string(minted_++);
+    return std::make_unique<RecordingDevice>(name, open_file(name), log_);
+  }
+
+  fs::path dir_;
+  int minted_ = 0;
+  ReadLog log_;
+  std::shared_ptr<storage::FaultInjector> injector_;
+  RecordingDevice* repo_device_ = nullptr;
+  Director director_;
+  std::unique_ptr<storage::ChunkRepository> repository_;
+  std::unique_ptr<BackupServer> server_;
+  std::uint64_t job_ = 0;
+};
+
+/// Aged generations: a base tree and four edited versions, each with an
+/// empty file among the others, then a version holding only that file.
+std::vector<Dataset> aged_generations() {
+  std::vector<Dataset> out;
+  Dataset v = workload::make_dataset(
+      {.files = 48, .mean_file_bytes = 32 * KiB, .seed = 1701});
+  const auto with_empty = [](Dataset d) {
+    d.files.insert(d.files.begin() + static_cast<std::ptrdiff_t>(d.files.size() / 2),
+                   FileData{.path = "empty", .content = {}, .mtime = 1});
+    return d;
+  };
+  out.push_back(with_empty(v));
+  for (std::uint64_t g = 0; g < 4; ++g) {
+    v = workload::mutate_dataset(v, {.seed = 1702 + g});
+    out.push_back(with_empty(v));
+  }
+  Dataset zero;
+  zero.files.push_back(FileData{.path = "empty", .content = {}, .mtime = 1});
+  out.push_back(zero);
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+class PlannedRestoreTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    base_ = fs::temp_directory_path() /
+            ("debar_planned_" + std::to_string(::getpid()) + "_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    fs::remove_all(base_);
+    generations_ = aged_generations();
+  }
+  void TearDown() override { fs::remove_all(base_); }
+
+  fs::path base_;
+  std::vector<Dataset> generations_;
+};
+
+TEST_F(PlannedRestoreTest, MatchesPerChunkRestoreExactly) {
+  Deployment planned(base_ / "planned", generations_);
+  Deployment reference(base_ / "reference", generations_);
+  const std::uint32_t newest = 5;
+  const std::uint32_t zero = 6;
+  std::size_t read_ahead = 0;
+  // Newest first (cold LPC), then the oldest, the zero-chunk version and
+  // the newest again, so LPC contents and the spare frame carry over.
+  for (const std::uint32_t version : {newest, 1U, zero, newest}) {
+    CollectingSink got_sink;
+    CollectingSink want_sink;
+    const std::vector<FileRecord> files = reference.files_of(version);
+    reference.miss_files.clear();
+    const Outcome got = planned.planned(version, got_sink);
+    const Outcome want = reference.per_chunk(files, want_sink);
+    ASSERT_EQ(got.code, Errc::kOk);
+    ASSERT_EQ(want.code, Errc::kOk);
+
+    const Dataset& data = generations_[version - 1];
+    ASSERT_EQ(got.files.size(), data.files.size());
+    for (std::size_t f = 0; f < data.files.size(); ++f) {
+      EXPECT_EQ(got.files[f].first, data.files[f].path);
+      EXPECT_TRUE(got.files[f].second == data.files[f].content)
+          << data.files[f].path;
+    }
+    EXPECT_TRUE(got.files == want.files);
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_TRUE(got.reads == want.reads) << "device read sequence differs";
+    read_ahead += got.reads_off_caller;
+    EXPECT_EQ(want.reads_off_caller, 0U);
+
+    const ServerClocks a = planned.server().clocks();
+    const ServerClocks b = reference.server().clocks();
+    EXPECT_EQ(bits(a.nic), bits(b.nic));
+    EXPECT_EQ(bits(a.log_disk), bits(b.log_disk));
+    EXPECT_EQ(bits(a.index_disk), bits(b.index_disk));
+    EXPECT_EQ(bits(planned.repository().total_node_seconds()),
+              bits(reference.repository().total_node_seconds()));
+    EXPECT_EQ(bits(planned.repository().max_node_seconds()),
+              bits(reference.repository().max_node_seconds()));
+
+    if (version == newest) {
+      // The version spans more than the LPC, and some miss comes in a
+      // later file than the one before it.
+      EXPECT_GT(want.misses, kLpcContainers);
+      bool crosses = false;
+      for (std::size_t k = 1; k < reference.miss_files.size(); ++k) {
+        crosses |= reference.miss_files[k] != reference.miss_files[k - 1];
+      }
+      EXPECT_TRUE(crosses);
+    }
+    if (version == zero) {
+      EXPECT_EQ(got.chunks, 0U);
+      EXPECT_EQ(got.files.size(), 1U);
+    }
+  }
+  // The planned twin read ahead on the pool; the reference never did.
+  EXPECT_GT(read_ahead, 0U);
+}
+
+TEST_F(PlannedRestoreTest, FailedReadAheadFailsAsThePerChunkReadDoes) {
+  Deployment planned(base_ / "planned", generations_);
+  Deployment reference(base_ / "reference", generations_);
+  // Once the first chunk (the first miss) is in, every repository read
+  // fails: the next miss's container read, issued ahead on the pool.
+  const auto arm = [](Deployment& d) {
+    return [&d](std::size_t chunks) {
+      if (chunks == 1) d.injector().set_config({.read_error_rate = 1.0});
+    };
+  };
+  CollectingSink got_sink;
+  got_sink.on_chunk = arm(planned);
+  CollectingSink want_sink;
+  want_sink.on_chunk = arm(reference);
+  const std::vector<FileRecord> files = reference.files_of(5);
+  const Outcome got = planned.planned(5, got_sink);
+  const Outcome want = reference.per_chunk(files, want_sink);
+
+  EXPECT_EQ(want.code, Errc::kIoError);
+  EXPECT_EQ(got.code, want.code);
+  EXPECT_GT(want.chunks, 1U);  // hits came between the two misses
+  EXPECT_EQ(got.chunks, want.chunks);
+  EXPECT_TRUE(got.files == want.files);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_TRUE(got.reads == want.reads);
+  EXPECT_GT(got.reads_off_caller, 0U);
+}
+
+TEST_F(PlannedRestoreTest, UnlocatableChunkFailsWhereThePerChunkLoopDoes) {
+  Deployment planned(base_ / "planned", generations_);
+  Deployment reference(base_ / "reference", generations_);
+  // A chunk in a later file that no index part knows: the read-ahead
+  // meets kNotFound when it locates it, and the restore must deliver
+  // every chunk before it and then fail there.
+  std::vector<FileRecord> files = reference.files_of(5);
+  std::size_t before = 0;
+  std::size_t f = files.size() * 3 / 4;
+  for (std::size_t g = 0; g < f; ++g) before += files[g].chunk_fps.size();
+  while (files[f].chunk_fps.size() < 2) before += files[f++].chunk_fps.size();
+  files[f].chunk_fps[1] = Sha1::hash_counter(0xDEAD);
+  before += 1;
+
+  CollectingSink got_sink;
+  CollectingSink want_sink;
+  const Outcome got = planned.planned(files, got_sink);
+  const Outcome want = reference.per_chunk(files, want_sink, /*nic=*/false);
+  EXPECT_EQ(want.code, Errc::kNotFound);
+  EXPECT_EQ(got.code, want.code);
+  EXPECT_EQ(want.chunks, before);
+  EXPECT_EQ(got.chunks, want.chunks);
+  EXPECT_TRUE(got.files == want.files);
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_TRUE(got.reads == want.reads);
+  EXPECT_EQ(bits(planned.server().clocks().index_disk),
+            bits(reference.server().clocks().index_disk));
+}
+
+TEST_F(PlannedRestoreTest, ReadInFlightIsAwaitedWhenTheSinkStops) {
+  std::optional<Deployment> planned;
+  planned.emplace(base_ / "planned", generations_);
+  // The sink refuses the chunk after the first miss, while the next
+  // miss's container is still being read (slowly) on the pool.
+  planned->repo_device().delay_ms = 50;
+  CollectingSink sink;
+  sink.fail_at = 1;
+  const Outcome got = planned->planned(5, sink);
+  EXPECT_EQ(got.code, Errc::kIoError);
+  EXPECT_EQ(got.chunks, 1U);
+  EXPECT_GT(got.reads_off_caller, 0U);
+  EXPECT_EQ(planned->repo_device().in_flight.load(), 0);
+  // Tear the deployment down at once: a read still running would write
+  // into a freed frame.
+  planned.reset();
+}
+
+}  // namespace
+}  // namespace debar::core
