@@ -12,7 +12,7 @@ void LpcCache::touch(Slot& slot) {
   lru_.splice(lru_.begin(), lru_, slot.lru_pos);
 }
 
-std::optional<ByteSpan> LpcCache::find(const Fingerprint& fp) {
+std::optional<LpcCache::Hit> LpcCache::lookup(const Fingerprint& fp) {
   const auto it = fp_to_chunk_.find(fp);
   if (it == fp_to_chunk_.end()) {
     ++misses_;
@@ -21,7 +21,13 @@ std::optional<ByteSpan> LpcCache::find(const Fingerprint& fp) {
   const Location& at = it->second;
   touch(*at.slot);
   ++hits_;
-  return at.slot->container->chunk_at(at.index);
+  return Hit{at.slot->container.get(), at.index};
+}
+
+std::optional<ByteSpan> LpcCache::find(const Fingerprint& fp) {
+  const std::optional<Hit> hit = lookup(fp);
+  if (!hit.has_value()) return std::nullopt;
+  return hit->container->chunk_at(hit->index);
 }
 
 void LpcCache::evict_lru() {
@@ -41,7 +47,7 @@ void LpcCache::evict_lru() {
   by_id_.erase(it);
 }
 
-void LpcCache::insert(std::shared_ptr<const storage::Container> container) {
+void LpcCache::insert(std::shared_ptr<storage::Container> container) {
   assert(container != nullptr);
   const std::uint64_t id = container->id().value;
 

@@ -5,6 +5,12 @@
 // container that holds it, and inserts the container here — so one disk
 // read prefetches ~1K neighbouring fingerprints that SISL wrote in stream
 // order. Eviction is LRU at container granularity.
+//
+// A cached container may hold only some of its chunks' payloads (a
+// restore reads just the chunks its recipe still needs, DESIGN.md §5o).
+// The cache does not care: membership, hits and misses follow the
+// metadata, and the owner completes a container before it hands out a
+// chunk that was not read (lookup()).
 #pragma once
 
 #include <cstdint>
@@ -23,14 +29,24 @@ class LpcCache {
   /// `max_containers`: capacity in containers (memory budget / 8 MB).
   explicit LpcCache(std::size_t max_containers);
 
+  /// Where a cached chunk is: the container holding it and its index
+  /// there.
+  struct Hit {
+    storage::Container* container;
+    std::uint32_t index;
+  };
+
   /// Look up a chunk. A hit refreshes the owning container's recency and
-  /// returns a view into cached container data (valid until the next
-  /// insert/evict).
+  /// returns where the chunk is (valid until the next insert/evict); a
+  /// hit or a miss is counted.
+  [[nodiscard]] std::optional<Hit> lookup(const Fingerprint& fp);
+
+  /// lookup(), then a view of the chunk, which must be loaded.
   [[nodiscard]] std::optional<ByteSpan> find(const Fingerprint& fp);
 
   /// Insert a container fetched on a miss; evicts LRU containers as
   /// needed. Replaces any cached copy with the same ID.
-  void insert(std::shared_ptr<const storage::Container> container);
+  void insert(std::shared_ptr<storage::Container> container);
 
   /// Whether a chunk is cached. Unlike find() it counts neither a hit nor
   /// a miss and leaves recency alone, so probing never changes what the
@@ -59,7 +75,7 @@ class LpcCache {
 
  private:
   struct Slot {
-    std::shared_ptr<const storage::Container> container;
+    std::shared_ptr<storage::Container> container;
     std::list<std::uint64_t>::iterator lru_pos;
   };
   /// Where a cached fingerprint's payload is: the newest inserted

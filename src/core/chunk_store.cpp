@@ -1,5 +1,6 @@
 #include "core/chunk_store.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <future>
 #include <unordered_set>
@@ -86,45 +87,66 @@ Result<StoreResult> ChunkStore::store_new_chunks(
   return result;
 }
 
+namespace {
+
+/// Payload runs of needed chunks closer together than this, about one
+/// average chunk, are read as one: the chunks between cost less to read
+/// than another device read does (DESIGN.md §5o has the measurements).
+constexpr std::uint64_t kRunGap = 8 * KiB;
+
+}  // namespace
+
 /// The container of the next LPC miss, located and charged ahead of need,
-/// and its device read in flight on the dedup-2 pool.
+/// and its device reads in flight on the dedup-2 pool.
 struct ChunkStore::ReadAhead {
   Cursor at;                // the miss it serves
   Status status;            // the error locating or charging it met
   storage::ChunkRepository::PendingRead read;
-  storage::FrameBuffer buffer;
-  std::future<Status> fetched;  // valid until taken or settled
+  std::future<Result<storage::Container>> fetched;  // valid until taken
 };
 
 Status ChunkStore::restore(std::span<const FileRecord> files,
                            RestoreSink& sink) {
   // Read ahead only where a miss costs a device read and a pool can make
-  // it; otherwise every miss reads at the miss, as read_chunk() does.
+  // it; otherwise every miss reads at the miss.
   ThreadPool* const pool =
       repository_->persistent() ? dedup2_pool().workers() : nullptr;
+  // Built at the first miss that reads a device; the read-ahead reads it.
+  LastUse last_use;
   std::optional<ReadAhead> ahead;
   // However the restore exits, the read in flight finishes before its
   // frame, the repository or the caller's recipe can go away.
   struct Settle {
-    ChunkStore& store;
     std::optional<ReadAhead>& ahead;
     ~Settle() {
-      if (ahead.has_value()) store.settle(*ahead);
+      if (ahead.has_value() && ahead->fetched.valid()) ahead->fetched.wait();
     }
-  } settle_on_exit{*this, ahead};
+  } settle_on_exit{ahead};
 
+  std::uint64_t pos = 0;
   for (std::size_t f = 0; f < files.size(); ++f) {
     const FileRecord& file = files[f];
     if (Status s = sink.begin_file(file); !s.ok()) return s;
-    for (std::size_t i = 0; i < file.chunk_fps.size(); ++i) {
+    for (std::size_t i = 0; i < file.chunk_fps.size(); ++i, ++pos) {
       const Fingerprint& fp = file.chunk_fps[i];
-      if (const std::optional<ByteSpan> hit = lpc_.find(fp)) {
-        if (Status s = sink.chunk(*hit); !s.ok()) return s;
+      if (const std::optional<cache::LpcCache::Hit> hit = lpc_.lookup(fp)) {
+        storage::Container& c = *hit->container;
+        if (!c.loaded(hit->index)) {
+          if (Status s = complete(c); !s.ok()) return s;
+        }
+        if (Status s = sink.chunk(c.chunk_at(hit->index)); !s.ok()) return s;
         continue;
       }
-      assert((!ahead.has_value() || ahead->at == Cursor{f, i}) &&
+      assert((!ahead.has_value() || ahead->at == Cursor{f, i, pos}) &&
              "between two misses every access hits");
-      Result<storage::Container> container = fetch_miss(fp, ahead);
+      if (last_use.empty() && repository_->persistent()) {
+        std::uint64_t at = 0;
+        for (const FileRecord& r : files) {
+          for (const Fingerprint& c : r.chunk_fps) last_use[c] = at++;
+        }
+      }
+      Result<storage::Container> container =
+          fetch_miss(fp, pos, last_use, ahead);
       ahead.reset();
       const Result<ByteSpan> chunk =
           cache_container(fp, std::move(container), pool != nullptr);
@@ -133,9 +155,9 @@ Status ChunkStore::restore(std::span<const FileRecord> files,
       if (pool == nullptr) continue;
       // Hits change recency, never membership: the first later chunk the
       // LPC does not hold now is exactly the next miss.
-      if (const std::optional<Cursor> next = next_miss(files, {f, i})) {
-        read_ahead(files[next->file].chunk_fps[next->chunk], *next, *pool,
-                   ahead);
+      if (const std::optional<Cursor> next = next_miss(files, {f, i, pos})) {
+        read_ahead(files[next->file].chunk_fps[next->chunk], *next, last_use,
+                   *pool, ahead);
       }
     }
     if (Status s = sink.end_file(); !s.ok()) return s;
@@ -146,16 +168,18 @@ Status ChunkStore::restore(std::span<const FileRecord> files,
 std::optional<ChunkStore::Cursor> ChunkStore::next_miss(
     std::span<const FileRecord> files, Cursor from) const {
   ++from.chunk;
+  ++from.pos;
   for (; from.file < files.size(); ++from.file, from.chunk = 0) {
     const std::vector<Fingerprint>& fps = files[from.file].chunk_fps;
-    for (; from.chunk < fps.size(); ++from.chunk) {
+    for (; from.chunk < fps.size(); ++from.chunk, ++from.pos) {
       if (!lpc_.holds(fps[from.chunk])) return from;
     }
   }
   return std::nullopt;
 }
 
-void ChunkStore::read_ahead(const Fingerprint& fp, Cursor at, ThreadPool& pool,
+void ChunkStore::read_ahead(const Fingerprint& fp, Cursor at,
+                            const LastUse& last_use, ThreadPool& pool,
                             std::optional<ReadAhead>& ahead) {
   ReadAhead& next = ahead.emplace();
   next.at = at;
@@ -179,36 +203,100 @@ void ChunkStore::read_ahead(const Fingerprint& fp, Cursor at, ThreadPool& pool,
   if (spare_.size() != next.read.buffer_bytes()) {
     spare_ = repository_->frame_pool().acquire(next.read.buffer_bytes());
   }
-  next.buffer = std::move(spare_);
-  next.fetched = pool.submit([repository = repository_, &next] {
-    return repository->read_into(next.read, next.buffer);
-  });
+  // The recipe, and so `last_use`, stays put while the read runs.
+  next.fetched = pool.submit(
+      [this, &next, &last_use, buffer = std::move(spare_)]() mutable {
+        return read_needed(next.read, std::move(buffer), last_use,
+                           next.at.pos);
+      });
 }
 
 Result<storage::Container> ChunkStore::fetch_miss(
-    const Fingerprint& fp, std::optional<ReadAhead>& ahead) {
-  if (!ahead.has_value()) {
+    const Fingerprint& fp, std::uint64_t pos, const LastUse& last_use,
+    std::optional<ReadAhead>& ahead) {
+  storage::ChunkRepository::PendingRead read;
+  if (ahead.has_value()) {
+    if (!ahead->status.ok()) {
+      return Error{ahead->status.code(), ahead->status.message()};
+    }
+    if (ahead->read.held == nullptr) return ahead->fetched.get();
+    read = std::move(ahead->read);
+  } else {
     const Result<ContainerId> cid = locate(fp);
     if (!cid.ok()) return cid.error();
-    return containers_.read(cid.value());
+    Result<storage::ChunkRepository::PendingRead> charged =
+        repository_->charge_read(cid.value());
+    if (!charged.ok()) return charged.error();
+    read = std::move(charged).value();
   }
-  if (!ahead->status.ok()) {
-    return Error{ahead->status.code(), ahead->status.message()};
+  // Held in memory: a whole copy, as ChunkRepository::read() makes.
+  if (read.held != nullptr) {
+    return storage::Container::deserialize(read.held->image());
   }
-  if (ahead->read.held != nullptr) {
-    return storage::Container::deserialize(ahead->read.held->image());
-  }
-  if (Status s = ahead->fetched.get(); !s.ok()) {
-    spare_ = std::move(ahead->buffer);
-    return Error{s.code(), s.message()};
-  }
-  return storage::Container::parse(std::move(ahead->buffer),
-                                   ahead->read.image_bytes);
+  return read_needed(
+      read, repository_->frame_pool().acquire(read.buffer_bytes()), last_use,
+      pos);
 }
 
-void ChunkStore::settle(ReadAhead& ahead) {
-  if (ahead.fetched.valid()) ahead.fetched.wait();
-  if (ahead.buffer) spare_ = std::move(ahead.buffer);
+Result<storage::Container> ChunkStore::read_needed(
+    const storage::ChunkRepository::PendingRead& read,
+    storage::FrameBuffer buffer, const LastUse& last_use,
+    std::uint64_t pos) const {
+  using storage::Container;
+  const std::uint64_t head = Container::head_bytes(read.chunk_count);
+  if (head > read.image_bytes) {
+    return Error{Errc::kCorrupt, "container metadata overflows its image"};
+  }
+  if (Status s = repository_->read_range(
+          read.source, 0,
+          std::span<Byte>(buffer.data() + Container::kFrameRoom, head));
+      !s.ok()) {
+    return Error{s.code(), s.message()};
+  }
+  Result<Container> parsed =
+      Container::parse_head(std::move(buffer), read.image_bytes, read.source);
+  if (!parsed.ok()) return parsed;
+  Container& c = parsed.value();
+  const std::vector<storage::ChunkMeta>& metas = c.metadata();
+  const std::size_t n = metas.size();
+  const auto end_of = [&](std::size_t i) {
+    return std::uint64_t{metas[i].offset} + metas[i].size;
+  };
+  const auto needed = [&](std::size_t i) {
+    const auto it = last_use.find(metas[i].fp);
+    return it != last_use.end() && it->second >= pos;
+  };
+  for (std::size_t i = 0; i < n;) {
+    if (!needed(i)) {
+      ++i;
+      continue;
+    }
+    // A run from chunk i to the last needed chunk that starts at most
+    // kRunGap past the run's end; the chunks between are read with it.
+    std::size_t last = i;
+    for (std::size_t j = i + 1; j < n && metas[j].offset >= end_of(last) &&
+                                metas[j].offset - end_of(last) < kRunGap;
+         ++j) {
+      if (needed(j)) last = j;
+    }
+    const std::uint64_t begin = head + metas[i].offset;
+    const std::uint64_t end = head + end_of(last);
+    if (Status s = repository_->read_range(read.source, begin,
+                                           c.image_span(begin, end));
+        !s.ok()) {
+      return Error{s.code(), s.message()};
+    }
+    // Each needed chunk of the run lies in it, and so does every chunk
+    // between them in a payload packed chunk after chunk, as containers
+    // are written.
+    for (std::size_t k = i; k <= last; ++k) {
+      if (head + metas[k].offset >= begin && head + end_of(k) <= end) {
+        c.set_loaded(k, k + 1);
+      }
+    }
+    i = last + 1;
+  }
+  return parsed;
 }
 
 Result<ByteSpan> ChunkStore::cache_container(
@@ -216,7 +304,7 @@ Result<ByteSpan> ChunkStore::cache_container(
     bool refill_spare) {
   if (!container.ok()) return container.error();
   auto shared =
-      std::make_shared<const storage::Container>(std::move(container).value());
+      std::make_shared<storage::Container>(std::move(container).value());
   const std::optional<ByteSpan> chunk = shared->find(fp);
   if (!chunk.has_value()) {
     return Error{Errc::kCorrupt,
@@ -234,11 +322,35 @@ Result<ByteSpan> ChunkStore::cache_container(
   return *chunk;
 }
 
-std::optional<std::vector<Byte>> ChunkStore::lpc_probe(const Fingerprint& fp) {
-  if (const std::optional<ByteSpan> hit = lpc_.find(fp)) {
-    return std::vector<Byte>(hit->begin(), hit->end());
+Status ChunkStore::complete(storage::Container& c) const {
+  // One read from the first chunk not read to the end of the last; the
+  // runs between are read again. The miss that cached the container paid
+  // for all of it, so this charges nothing.
+  const std::uint64_t head = storage::Container::head_bytes(c.chunk_count());
+  std::uint64_t begin = c.capacity();
+  std::uint64_t end = 0;
+  for (std::size_t i = 0; i < c.chunk_count(); ++i) {
+    if (c.loaded(i)) continue;
+    const storage::ChunkMeta& m = c.metadata()[i];
+    begin = std::min<std::uint64_t>(begin, head + m.offset);
+    end = std::max<std::uint64_t>(end, head + m.offset + m.size);
   }
-  return std::nullopt;
+  if (Status s =
+          repository_->read_range(c.source(), begin, c.image_span(begin, end));
+      !s.ok()) {
+    return s;
+  }
+  c.set_loaded(0, c.chunk_count());
+  return Status::Ok();
+}
+
+std::optional<std::vector<Byte>> ChunkStore::lpc_probe(const Fingerprint& fp) {
+  const std::optional<cache::LpcCache::Hit> hit = lpc_.lookup(fp);
+  if (!hit.has_value()) return std::nullopt;
+  storage::Container& c = *hit->container;
+  if (!c.loaded(hit->index) && !complete(c).ok()) return std::nullopt;
+  const ByteSpan chunk = c.chunk_at(hit->index);
+  return std::vector<Byte>(chunk.begin(), chunk.end());
 }
 
 Result<std::vector<Byte>> ChunkStore::read_chunk(const Fingerprint& fp) {
@@ -256,7 +368,7 @@ Result<std::vector<Byte>> ChunkStore::read_chunk_at(const Fingerprint& fp,
   if (!container.ok()) return container.error();
 
   auto shared =
-      std::make_shared<const storage::Container>(std::move(container).value());
+      std::make_shared<storage::Container>(std::move(container).value());
   const std::optional<ByteSpan> chunk = shared->find(fp);
   if (!chunk.has_value()) {
     return Error{Errc::kCorrupt,

@@ -8,7 +8,8 @@
 //                      to containers in SISL order, and emit the
 //                      <fingerprint, containerID> entries;
 //   restore()          planned restore of a recipe through the LPC, with
-//                      the container of the next miss read ahead;
+//                      the container of the next miss read ahead and
+//                      only the chunks the recipe still needs read;
 //   read_chunk()       one chunk through the LPC, with container prefetch.
 //
 // A single-server dedup-2 is sil -> store -> add_pending -> (maybe) siu;
@@ -20,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/index_cache.hpp"
@@ -90,24 +92,31 @@ class ChunkStore : public IndexPart {
 
   /// Planned restore (DESIGN.md §5o): pass every chunk of `files`, in
   /// recipe order, to `sink` as a span of the container the LPC caches.
-  /// Locates, repository reads, LPC hits and misses and every modeled
+  /// Locates, repository charges, LPC hits and misses and every modeled
   /// clock come in the order a read_chunk() loop over the same recipe
   /// makes them, and the first error stops the restore as it would stop
-  /// that loop. With a persistent repository and a multi-thread dedup-2
-  /// pool, the container of the next LPC miss is located, charged and
-  /// read on the pool while the hits before it are served; at most one
-  /// such read is in flight, and it has finished when this returns.
+  /// that loop. From a persistent repository a miss reads its
+  /// container's header and metadata, then only the payloads of chunks
+  /// the recipe asks for at or after the miss; the model is still
+  /// charged for the whole container. With a multi-thread dedup-2 pool,
+  /// the container of the next LPC miss is located, charged and read on
+  /// the pool while the hits before it are served; at most one such read
+  /// is in flight, and it has finished when this returns.
   [[nodiscard]] Status restore(std::span<const FileRecord> files,
                                RestoreSink& sink);
 
   /// LPC-only probe: the chunk if its container is cached, else nullopt
-  /// with no device I/O. Cluster restores try this on the serving server
-  /// before paying the owner-side index lookup.
+  /// with no device I/O. A cached container read in part is completed
+  /// first (one uncharged device read); if that read fails, nullopt, and
+  /// a caller that goes on to read the container reads it whole. Cluster
+  /// restores try this on the serving server before paying the
+  /// owner-side index lookup.
   [[nodiscard]] std::optional<std::vector<Byte>> lpc_probe(
       const Fingerprint& fp);
 
-  /// Read one chunk via LPC: hit serves from cache; miss locates the
-  /// container, reads it whole from the repository, and prefetches it.
+  /// Read one chunk via LPC: hit serves from cache (lpc_probe()); miss
+  /// locates the container, reads it whole from the repository, and
+  /// prefetches it.
   [[nodiscard]] Result<std::vector<Byte>> read_chunk(const Fingerprint& fp);
 
   /// Read a chunk from container `id` after an LPC miss: fetch the
@@ -137,34 +146,50 @@ class ChunkStore : public IndexPart {
   }
 
  private:
-  /// A recipe position: chunk `chunk` of file `file`.
+  /// A recipe position: chunk `chunk` of file `file`, the recipe's
+  /// `pos`-th chunk.
   struct Cursor {
     std::size_t file = 0;
     std::size_t chunk = 0;
+    std::uint64_t pos = 0;
     friend bool operator==(const Cursor&, const Cursor&) = default;
   };
+  /// Each fingerprint of a recipe and its last position there.
+  using LastUse =
+      std::unordered_map<Fingerprint, std::uint64_t, FingerprintHash>;
   struct ReadAhead;
 
   /// Where the next LPC miss after `from` is: the first later chunk the
   /// LPC does not hold, or nullopt.
   [[nodiscard]] std::optional<Cursor> next_miss(
       std::span<const FileRecord> files, Cursor from) const;
-  /// Locate and charge the container of the miss at `at`, and read it
-  /// into the spare frame on `pool`.
-  void read_ahead(const Fingerprint& fp, Cursor at, ThreadPool& pool,
-                  std::optional<ReadAhead>& ahead);
-  /// The container of the miss on `fp`: the one `ahead` read for it, or
-  /// the error `ahead` met, or, with no read-ahead, a locate and a read.
+  /// Locate and charge the container of the miss at `at`, and read what
+  /// the recipe needs of it into the spare frame on `pool`.
+  void read_ahead(const Fingerprint& fp, Cursor at, const LastUse& last_use,
+                  ThreadPool& pool, std::optional<ReadAhead>& ahead);
+  /// The container of the miss on `fp` at recipe position `pos`: the one
+  /// `ahead` read for it, or the error `ahead` met, or, with no
+  /// read-ahead, a locate and a read.
   [[nodiscard]] Result<storage::Container> fetch_miss(
-      const Fingerprint& fp, std::optional<ReadAhead>& ahead);
-  /// Wait out a read-ahead's device read and keep its frame as the spare.
-  void settle(ReadAhead& ahead);
+      const Fingerprint& fp, std::uint64_t pos, const LastUse& last_use,
+      std::optional<ReadAhead>& ahead);
+  /// Read the container `read` charged into `buffer`: its header and
+  /// metadata, then the payload runs of the chunks whose last use is at or
+  /// after `pos`. Touches nothing but the repository's devices, so it
+  /// runs on the pool.
+  [[nodiscard]] Result<storage::Container> read_needed(
+      const storage::ChunkRepository::PendingRead& read,
+      storage::FrameBuffer buffer, const LastUse& last_use,
+      std::uint64_t pos) const;
   /// Cache the container fetched for a restore's miss on `fp` in the LPC
   /// and return the chunk's span there. With `refill_spare`, a frame for
   /// the next read-ahead is taken from the pool first.
   [[nodiscard]] Result<ByteSpan> cache_container(
       const Fingerprint& fp, Result<storage::Container> container,
       bool refill_spare);
+  /// Read the chunks of a cached container that a restore's miss did not
+  /// read, with one device read that charges nothing.
+  [[nodiscard]] Status complete(storage::Container& c) const;
 
   ChunkStoreConfig config_;
   storage::ChunkRepository* repository_;

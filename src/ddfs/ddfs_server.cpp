@@ -196,7 +196,7 @@ Result<std::vector<Byte>> DdfsServer::read_chunk(const Fingerprint& fp) {
   Result<storage::Container> container = containers_.read(cid);
   if (!container.ok()) return container.error();
   auto shared =
-      std::make_shared<const storage::Container>(std::move(container).value());
+      std::make_shared<storage::Container>(std::move(container).value());
   const std::optional<ByteSpan> chunk = shared->find(fp);
   if (!chunk.has_value()) {
     return Error{Errc::kCorrupt,

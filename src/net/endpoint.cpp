@@ -4,9 +4,12 @@ namespace debar::net {
 
 Status Endpoint::transmit(EndpointId to, std::uint32_t seq,
                           std::vector<Byte> bytes) {
+  // A failed send leaves the frame intact, so every attempt hands the
+  // same bytes over without a copy.
+  Frame frame{id_, to, seq, std::move(bytes)};
   Status last;
   for (int attempt = 0; attempt < retry_.max_attempts; ++attempt) {
-    last = transport_->send(Frame{id_, to, seq, bytes});
+    last = transport_->send(std::move(frame));
     if (last.ok()) return last;
   }
   return last;

@@ -59,7 +59,7 @@ FaultyTransport::Fate FaultyTransport::fate_of(
   return Fate::kPass;
 }
 
-Status FaultyTransport::send(Frame frame) {
+Status FaultyTransport::send(Frame&& frame) {
   std::uint32_t attempt;
   {
     std::lock_guard lock(mutex_);

@@ -74,7 +74,7 @@ class FaultyTransport final : public Transport {
                                          sim::NicModel* nic) override {
     return inner_->register_endpoint(id, nic);
   }
-  [[nodiscard]] Status send(Frame frame) override;
+  [[nodiscard]] Status send(Frame&& frame) override;
   [[nodiscard]] std::optional<Frame> receive(EndpointId to, EndpointId from,
                                              const Deadline& deadline) override;
   [[nodiscard]] TransportMeter& meter() noexcept override {

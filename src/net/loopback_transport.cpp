@@ -9,7 +9,7 @@ Status LoopbackTransport::register_endpoint(EndpointId id,
   return meter_.bind(id, nic);
 }
 
-Status LoopbackTransport::send(Frame frame) {
+Status LoopbackTransport::send(Frame&& frame) {
   if (!meter_.bound(frame.from) || !meter_.bound(frame.to)) {
     return {Errc::kInvalidArgument,
             format("send {} -> {}: endpoint not registered", frame.from,

@@ -26,7 +26,7 @@ class LoopbackTransport final : public Transport {
  public:
   [[nodiscard]] Status register_endpoint(EndpointId id,
                                          sim::NicModel* nic) override;
-  [[nodiscard]] Status send(Frame frame) override;
+  [[nodiscard]] Status send(Frame&& frame) override;
   [[nodiscard]] std::optional<Frame> receive(EndpointId to, EndpointId from,
                                              const Deadline& deadline) override;
   [[nodiscard]] TransportMeter& meter() noexcept override { return meter_; }

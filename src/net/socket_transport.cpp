@@ -193,7 +193,7 @@ Status SocketTransport::write_frame(Peer& peer, const Address& address,
   return wrote;
 }
 
-Status SocketTransport::send(Frame frame) {
+Status SocketTransport::send(Frame&& frame) {
   if (frame.bytes.size() < kEnvelopeSize) {
     return {Errc::kInvalidArgument, "frame shorter than its envelope"};
   }

@@ -71,7 +71,7 @@ class SocketTransport final : public Transport {
   [[nodiscard]] Status register_endpoint(EndpointId id,
                                          sim::NicModel* nic) override;
 
-  [[nodiscard]] Status send(Frame frame) override;
+  [[nodiscard]] Status send(Frame&& frame) override;
   [[nodiscard]] std::optional<Frame> receive(EndpointId to, EndpointId from,
                                              const Deadline& deadline) override;
   [[nodiscard]] TransportMeter& meter() noexcept override { return meter_; }

@@ -118,8 +118,10 @@ class Transport {
                                                  sim::NicModel* nic) = 0;
 
   /// Transmit one frame. OK means exactly one delivery was handed to the
-  /// network (which may still lose it; see the delivery model above).
-  [[nodiscard]] virtual Status send(Frame frame) = 0;
+  /// network (which may still lose it; see the delivery model above), and
+  /// the frame may have been moved from. On failure the frame is left
+  /// intact, so a sender can retry it without keeping a copy.
+  [[nodiscard]] virtual Status send(Frame&& frame) = 0;
 
   /// Next frame of the (from -> to) stream, or nullopt once `deadline`
   /// expires with nothing deliverable. `to` must be registered here.

@@ -88,6 +88,7 @@ Result<std::unique_ptr<ChunkRepository>> ChunkRepository::open(
         Entry& entry = repo->entries_[id];
         entry.image_bytes = length;
         entry.data_bytes = parsed.value().data_bytes;
+        entry.chunk_count = parsed.value().chunk_count;
         entry.offset = pos;
         // Record off-pattern placement so node_of stays correct.
         if ((id - 1) % repo->nodes_.size() != node) {
@@ -146,6 +147,7 @@ void ChunkRepository::store_locked(ContainerId id, Container container,
   Entry entry;
   entry.image_bytes = image_bytes;
   entry.data_bytes = container.data_bytes();
+  entry.chunk_count = static_cast<std::uint32_t>(container.chunk_count());
   if (!backing_.empty()) {
     // Write-through to the node's persistent container log.
     const std::uint64_t offset = tails_[node_idx];
@@ -188,7 +190,10 @@ Result<Container> ChunkRepository::read(ContainerId id) const {
   // Memory-only: parse a copy of the held image, as deserialize() makes.
   if (read.held != nullptr) return Container::deserialize(read.held->image());
   FrameBuffer buffer = pool_->acquire(read.buffer_bytes());
-  if (Status s = read_into(read, buffer); !s.ok()) {
+  if (Status s = read_range(read.source, 0,
+                            std::span<Byte>(buffer.data() + kFrameHeader,
+                                            read.image_bytes));
+      !s.ok()) {
     return Error{s.code(), s.message()};
   }
   return Container::parse(std::move(buffer), read.image_bytes);
@@ -207,21 +212,23 @@ Result<ChunkRepository::PendingRead> ChunkRepository::charge_read(
   // Container reads land at arbitrary log positions: one seek + transfer.
   nodes_[node_idx]->model.seek();
   nodes_[node_idx]->model.stream(entry.image_bytes);
-  PendingRead read{.image_bytes = entry.image_bytes, .held = entry.held};
+  PendingRead read;
+  read.image_bytes = entry.image_bytes;
+  read.chunk_count = entry.chunk_count;
+  read.held = entry.held;
   if (entry.held == nullptr) {
-    read.device = backing_[node_idx].get();
-    read.offset = entry.offset + kFrameHeader;
+    read.source = {.device = backing_[node_idx].get(),
+                   .offset = entry.offset + kFrameHeader};
   }
   return read;
 }
 
-Status ChunkRepository::read_into(const PendingRead& read,
-                                  FrameBuffer& buffer) const {
-  assert(read.device != nullptr && buffer.size() == read.buffer_bytes());
+Status ChunkRepository::read_range(const Container::Source& source,
+                                   std::uint64_t begin,
+                                   std::span<Byte> out) const {
+  assert(source.device != nullptr);
   std::shared_lock io(io_mutex_);
-  return read_with_retry(
-      *read.device, read.offset,
-      std::span<Byte>(buffer.data() + kFrameHeader, read.image_bytes));
+  return read_with_retry(*source.device, source.offset + begin, out);
 }
 
 std::size_t ChunkRepository::node_of(ContainerId id) const {

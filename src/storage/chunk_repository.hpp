@@ -86,18 +86,19 @@ class ChunkRepository {
   /// reads the image from its node device with one device read, outside
   /// the repository lock; the container owns the pooled buffer it was
   /// read into until it is destroyed. It is charge_read(), then
-  /// read_into() a buffer from frame_pool(), then Container::parse().
+  /// read_range() of the whole image into a buffer from frame_pool(),
+  /// then Container::parse().
   [[nodiscard]] Result<Container> read(ContainerId id) const;
 
   /// A container read charged to its node's DiskModel but not fetched.
   struct PendingRead {
     std::uint64_t image_bytes = 0;
+    std::uint32_t chunk_count = 0;
     /// Set when the repository holds the container in memory (memory-only
     /// mode, or a failed write-through): there is nothing to fetch, and
     /// Container::deserialize(held->image()) reads it.
     std::shared_ptr<const Container> held;
-    BlockDevice* device = nullptr;
-    std::uint64_t offset = 0;  // of the image on `device`
+    Container::Source source;  // of the image, when not held
 
     [[nodiscard]] std::size_t buffer_bytes() const {
       return Container::buffer_bytes(image_bytes);
@@ -108,12 +109,14 @@ class ChunkRepository {
   /// model one seek plus the image's transfer. kNotFound if absent.
   [[nodiscard]] Result<PendingRead> charge_read(ContainerId id) const;
 
-  /// The second step of read(): fetch a charged image from its device
-  /// into `buffer` (buffer_bytes() long, image at Container::kFrameRoom)
-  /// with one device read, outside the repository lock. Thread-safe; the
-  /// repository must outlive the call.
-  [[nodiscard]] Status read_into(const PendingRead& read,
-                                 FrameBuffer& buffer) const;
+  /// Read bytes [begin, begin + out.size()) of the image at `source` into
+  /// `out` with one device read, outside the repository lock. It charges
+  /// nothing (charge_read() charges a container whole) and does not
+  /// consult the directory, so it still reads a removed container's
+  /// tombstoned frame. Thread-safe; the repository must outlive the call.
+  [[nodiscard]] Status read_range(const Container::Source& source,
+                                  std::uint64_t begin,
+                                  std::span<Byte> out) const;
 
   /// Whether containers live on node devices (and reads go to them).
   [[nodiscard]] bool persistent() const noexcept { return !backing_.empty(); }
@@ -184,6 +187,7 @@ class ChunkRepository {
   struct Entry {
     std::uint64_t image_bytes = 0;
     std::uint64_t data_bytes = 0;
+    std::uint32_t chunk_count = 0;
     std::uint64_t offset = 0;  // of the frame header, when not held
     std::shared_ptr<const Container> held;
   };
@@ -200,7 +204,7 @@ class ChunkRepository {
   std::vector<std::unique_ptr<BlockDevice>> backing_;
   std::vector<std::uint64_t> tails_;
   Status backing_error_;  // sticky until take_backing_error()
-  /// Orders read()'s device reads, taken outside mutex_, against the
+  /// Orders read_range()'s device reads, taken outside mutex_, against the
   /// writes made under it: a device need not allow a read to race a write
   /// that grows it.
   mutable std::shared_mutex io_mutex_;

@@ -120,6 +120,7 @@ std::span<Byte> Container::seal() {
 }
 
 std::vector<Byte> Container::serialize() const {
+  assert(whole());
   std::vector<Byte> out;
   out.reserve(capacity_);
   write_header_and_metadata(out);
@@ -168,18 +169,35 @@ Result<Container> Container::deserialize(ByteSpan image) {
 
 Result<Container> Container::parse(FrameBuffer buffer,
                                    std::uint64_t image_bytes) {
-  // The buffer holds at least the image's used bytes (header, metadata,
-  // payload); parse_header() bounds those by `image_bytes`.
+  Result<Container> c = parse_in_place(std::move(buffer), image_bytes);
+  assert(!c.ok() ||
+         c.value().buffer_.size() - kFrameRoom >=
+             head_bytes(c.value().chunk_count()) + c.value().data_bytes_);
+  return c;
+}
+
+Result<Container> Container::parse_head(FrameBuffer buffer,
+                                        std::uint64_t image_bytes,
+                                        Source source) {
+  Result<Container> parsed = parse_in_place(std::move(buffer), image_bytes);
+  if (!parsed.ok()) return parsed;
+  Container& c = parsed.value();
+  c.missing_ = c.metadata_.size();
+  c.loaded_.assign(c.missing_, false);
+  c.source_ = source;
+  return parsed;
+}
+
+Result<Container> Container::parse_in_place(FrameBuffer buffer,
+                                            std::uint64_t image_bytes) {
+  // The buffer holds at least the image's header and metadata;
+  // parse_header() bounds its sections by `image_bytes`.
   const ByteSpan held(buffer.data() + kFrameRoom,
                       std::min<std::uint64_t>(buffer.size() - kFrameRoom,
                                               image_bytes));
   Result<Header> header = parse_header(held, image_bytes);
   if (!header.ok()) return header.error();
   const Header& h = header.value();
-  assert(held.size() >= kHeaderSize +
-                            std::uint64_t{h.chunk_count} *
-                                ChunkMeta::kSerializedSize +
-                            h.data_bytes);
 
   Container c(image_bytes);
   c.id_ = h.id;
@@ -196,13 +214,32 @@ Result<Container> Container::parse(FrameBuffer buffer,
     }
     c.metadata_.push_back(m);
   }
-  c.data_pos_ =
-      kFrameRoom + kHeaderSize + h.chunk_count * ChunkMeta::kSerializedSize;
+  c.data_pos_ = kFrameRoom + head_bytes(h.chunk_count);
   c.data_bytes_ = h.data_bytes;
   c.meta_slots_ = h.chunk_count;
   c.buffer_ = std::move(buffer);
   c.sealed_ = true;
   return c;
+}
+
+void Container::set_loaded(std::size_t first, std::size_t last) {
+  assert(first <= last && last <= metadata_.size());
+  if (missing_ == 0) return;
+  for (std::size_t i = first; i < last; ++i) {
+    if (!loaded_[i]) {
+      loaded_[i] = true;
+      --missing_;
+    }
+  }
+  if (missing_ == 0) loaded_ = {};
+}
+
+std::span<Byte> Container::image_span(std::uint64_t begin,
+                                      std::uint64_t end) {
+  assert(begin <= end && end <= capacity_);
+  const std::size_t at = data_pos_ - head_bytes(metadata_.size()) + begin;
+  assert(at + (end - begin) <= buffer_.size());
+  return std::span<Byte>(buffer_.data() + at, end - begin);
 }
 
 }  // namespace debar::storage

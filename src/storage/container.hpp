@@ -22,6 +22,11 @@
 // writes the header and metadata just in front of the payload, so the
 // image is never copied. A container read back from a device is parsed in
 // place and views its payload inside the buffer it was read into.
+//
+// A container may also be read in part: its header and metadata, then
+// only some chunks' payloads, each at its place in the image. It records
+// which chunks are loaded and where its image lies on the device, so the
+// rest can be read later (DESIGN.md §5n).
 #pragma once
 
 #include <cassert>
@@ -35,6 +40,8 @@
 #include "storage/frame_pool.hpp"
 
 namespace debar::storage {
+
+class BlockDevice;
 
 /// Metadata describing one chunk inside a container.
 struct ChunkMeta {
@@ -61,6 +68,18 @@ class Container {
     std::uint32_t chunk_count = 0;
     std::uint32_t data_bytes = 0;
   };
+
+  /// Where an image lies on a device.
+  struct Source {
+    BlockDevice* device = nullptr;
+    std::uint64_t offset = 0;  // of the image's first byte
+  };
+
+  /// Bytes of an image's header and metadata: where its payload starts.
+  [[nodiscard]] static constexpr std::uint64_t head_bytes(
+      std::uint64_t chunk_count) {
+    return kHeaderSize + chunk_count * ChunkMeta::kSerializedSize;
+  }
 
   /// An open, empty container. Its buffer is taken on the first append:
   /// from `pool` when one is given (it must outlive the open container),
@@ -96,12 +115,31 @@ class Container {
   /// scan of the metadata; restore hits go through the LPC's index.
   [[nodiscard]] std::optional<ByteSpan> find(const Fingerprint& fp) const;
 
-  /// Payload of chunk `i` in arrival order.
+  /// Payload of chunk `i` in arrival order. The chunk must be loaded.
   [[nodiscard]] ByteSpan chunk_at(std::size_t i) const {
     assert(i < metadata_.size());
+    assert(loaded(i) && "span of a chunk that was not read");
     const ChunkMeta& m = metadata_[i];
     return ByteSpan(buffer_.data() + data_pos_ + m.offset, m.size);
   }
+
+  /// Whether chunk `i`'s payload is in the buffer. Every chunk is, except
+  /// in a container read in part (parse_head()) and not yet completed.
+  [[nodiscard]] bool loaded(std::size_t i) const {
+    return missing_ == 0 || loaded_[i];
+  }
+  /// Whether every chunk's payload is in the buffer.
+  [[nodiscard]] bool whole() const noexcept { return missing_ == 0; }
+  /// Mark chunks [first, last) loaded: their payloads were read into
+  /// image_span().
+  void set_loaded(std::size_t first, std::size_t last);
+  /// Where the image of a container read in part lies, to read the rest.
+  [[nodiscard]] const Source& source() const noexcept { return source_; }
+
+  /// The bytes [begin, end) of the image in the buffer, to read a run of
+  /// a container parsed in part into.
+  [[nodiscard]] std::span<Byte> image_span(std::uint64_t begin,
+                                           std::uint64_t end);
 
   [[nodiscard]] ContainerId id() const noexcept { return id_; }
   void set_id(ContainerId id) noexcept { id_ = id; }
@@ -116,11 +154,10 @@ class Container {
   /// container takes no more appends.
   [[nodiscard]] std::span<Byte> seal();
 
-  /// The image of a sealed or parsed container, in place.
+  /// The image of a sealed or parsed whole container, in place.
   [[nodiscard]] ByteSpan image() const noexcept {
-    return ByteSpan(buffer_.data() + data_pos_ - kHeaderSize -
-                        metadata_.size() * ChunkMeta::kSerializedSize,
-                    capacity_);
+    assert(whole());
+    return ByteSpan(image_start(), capacity_);
   }
 
   /// A copy of the image: exactly `capacity()` bytes.
@@ -136,6 +173,13 @@ class Container {
   [[nodiscard]] static Result<Container> parse(FrameBuffer buffer,
                                                std::uint64_t image_bytes);
 
+  /// Parse, in place, only the header and metadata of the image at
+  /// kFrameRoom in `buffer`, which lies at `source`: no chunk is loaded
+  /// yet. Validates exactly as parse() does.
+  [[nodiscard]] static Result<Container> parse_head(FrameBuffer buffer,
+                                                    std::uint64_t image_bytes,
+                                                    Source source);
+
   /// Parse the first kHeaderSize bytes of an image of `image_bytes` bytes
   /// and check that its sections fit in the image.
   [[nodiscard]] static Result<Header> parse_header(ByteSpan header,
@@ -143,6 +187,11 @@ class Container {
 
  private:
   void ensure_buffer();
+  [[nodiscard]] static Result<Container> parse_in_place(
+      FrameBuffer buffer, std::uint64_t image_bytes);
+  [[nodiscard]] const Byte* image_start() const noexcept {
+    return buffer_.data() + data_pos_ - head_bytes(metadata_.size());
+  }
   [[nodiscard]] ByteSpan payload() const noexcept {
     return ByteSpan(buffer_.data() + data_pos_, data_bytes_);
   }
@@ -157,6 +206,10 @@ class Container {
   std::uint64_t data_bytes_ = 0;
   std::size_t meta_slots_ = 0;   // metadata entries room in front of data_pos_
   bool sealed_ = false;
+  // A container read in part: a flag per chunk and the count still unread.
+  std::vector<bool> loaded_;
+  std::size_t missing_ = 0;
+  Source source_;
 };
 
 }  // namespace debar::storage

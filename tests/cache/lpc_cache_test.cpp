@@ -7,7 +7,7 @@
 namespace debar::cache {
 namespace {
 
-std::shared_ptr<const storage::Container> make_container(
+std::shared_ptr<storage::Container> make_container(
     std::uint64_t id, std::uint64_t fp_base, std::size_t chunks) {
   auto c = std::make_shared<storage::Container>(64 * 1024);
   for (std::size_t i = 0; i < chunks; ++i) {

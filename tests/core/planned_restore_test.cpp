@@ -1,18 +1,24 @@
 // Planned restore (DESIGN.md §5o) against a per-chunk read_chunk() loop.
 // Twin servers on file devices back up the same aged generations; one
 // restores through BackupEngine's RestoreSink path, which reads the next
-// LPC miss's container ahead on the dedup-2 pool, the other chunk by
-// chunk. Bytes, LPC counters, modeled clocks and the device read
-// sequence must match exactly, and so must the failures: a read-ahead
+// LPC miss's container ahead on the dedup-2 pool and reads only the
+// chunks the recipe still needs, the other chunk by chunk, each miss
+// reading its container whole. Bytes, LPC counters, modeled clocks and
+// the index device reads must match exactly, the planned twin must read
+// fewer repository bytes, and the failures must match too: a read-ahead
 // whose device read fails, a later chunk that cannot be located, and a
-// sink that stops the restore while a read-ahead is in flight. Written
-// for TSan: the read-ahead reads the repository device on a pool thread
-// while the caller serves hits.
+// sink that stops the restore while a read-ahead is in flight. A
+// container read in part completes, with one device read, on the first
+// hit on a chunk that was not read: after a failed completion, after its
+// container was removed, and from pooled frames full of stale bytes.
+// Written for TSan: the read-ahead reads the repository device on a pool
+// thread while the caller serves hits.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -124,6 +130,27 @@ struct Outcome {
   std::size_t reads_off_caller = 0;  // made on another thread
 };
 
+/// The reads of `reads` made on devices other than the repository's.
+std::vector<DeviceRead> index_reads(const std::vector<DeviceRead>& reads) {
+  std::vector<DeviceRead> out;
+  for (const DeviceRead& r : reads) {
+    if (r.device != "repo") out.push_back(r);
+  }
+  return out;
+}
+
+/// Reads and bytes of `reads` made on the repository's device.
+std::pair<std::size_t, std::uint64_t> repo_reads(
+    const std::vector<DeviceRead>& reads) {
+  std::pair<std::size_t, std::uint64_t> out{0, 0};
+  for (const DeviceRead& r : reads) {
+    if (r.device != "repo") continue;
+    ++out.first;
+    out.second += r.bytes;
+  }
+  return out;
+}
+
 /// A file-backed server aged by `generations` backups with forced
 /// dedup-2. Its repository device fails reads once `injector` is armed.
 class Deployment {
@@ -228,7 +255,8 @@ class Deployment {
   /// The file index of every per-chunk miss, in order.
   std::vector<std::size_t> miss_files;
 
- private:
+  /// What `run` (returning a Status) does: its code, what `sink` holds,
+  /// the LPC hits and misses and the device reads it makes.
   template <class Run>
   Outcome observe(CollectingSink& sink, Run run) {
     const cache::LpcCache& lpc = server_->chunk_store().lpc();
@@ -254,6 +282,7 @@ class Deployment {
     return out;
   }
 
+ private:
   std::unique_ptr<storage::BlockDevice> open_file(const std::string& name) {
     auto opened = storage::FileBlockDevice::open(dir_ / name);
     EXPECT_TRUE(opened.ok()) << opened.error().to_string();
@@ -343,7 +372,13 @@ TEST_F(PlannedRestoreTest, MatchesPerChunkRestoreExactly) {
     EXPECT_TRUE(got.files == want.files);
     EXPECT_EQ(got.hits, want.hits);
     EXPECT_EQ(got.misses, want.misses);
-    EXPECT_TRUE(got.reads == want.reads) << "device read sequence differs";
+    EXPECT_TRUE(index_reads(got.reads) == index_reads(want.reads))
+        << "index read sequence differs";
+    // A miss reads only what the rest of the recipe needs of a container
+    // (and the model is still charged for all of it; see the clocks).
+    if (want.misses > 0) {
+      EXPECT_LT(repo_reads(got.reads).second, repo_reads(want.reads).second);
+    }
     read_ahead += got.reads_off_caller;
     EXPECT_EQ(want.reads_off_caller, 0U);
 
@@ -400,7 +435,7 @@ TEST_F(PlannedRestoreTest, FailedReadAheadFailsAsThePerChunkReadDoes) {
   EXPECT_EQ(got.chunks, want.chunks);
   EXPECT_TRUE(got.files == want.files);
   EXPECT_EQ(got.misses, want.misses);
-  EXPECT_TRUE(got.reads == want.reads);
+  EXPECT_TRUE(index_reads(got.reads) == index_reads(want.reads));
   EXPECT_GT(got.reads_off_caller, 0U);
 }
 
@@ -429,7 +464,7 @@ TEST_F(PlannedRestoreTest, UnlocatableChunkFailsWhereThePerChunkLoopDoes) {
   EXPECT_TRUE(got.files == want.files);
   EXPECT_EQ(got.hits, want.hits);
   EXPECT_EQ(got.misses, want.misses);
-  EXPECT_TRUE(got.reads == want.reads);
+  EXPECT_TRUE(index_reads(got.reads) == index_reads(want.reads));
   EXPECT_EQ(bits(planned.server().clocks().index_disk),
             bits(reference.server().clocks().index_disk));
 }
@@ -450,6 +485,178 @@ TEST_F(PlannedRestoreTest, ReadInFlightIsAwaitedWhenTheSinkStops) {
   // Tear the deployment down at once: a read still running would write
   // into a freed frame.
   planned.reset();
+}
+
+/// A one-file recipe of `fps`, sized from `whole`, the container holding
+/// them all.
+FileRecord recipe_of(const storage::Container& whole,
+                     std::initializer_list<Fingerprint> fps) {
+  FileRecord file;
+  file.meta.path = "part";
+  for (const Fingerprint& fp : fps) {
+    file.chunk_fps.push_back(fp);
+    file.chunk_sizes.push_back(
+        static_cast<std::uint32_t>(whole.find(fp).value().size()));
+  }
+  return file;
+}
+
+std::vector<Byte> bytes_of(ByteSpan span) {
+  return std::vector<Byte>(span.begin(), span.end());
+}
+
+/// A deployment whose LPC holds one container read in part: a restore of
+/// the first chunk of the newest version read that chunk alone.
+class PartlyReadTest : public PlannedRestoreTest {
+ protected:
+  void SetUp() override {
+    PlannedRestoreTest::SetUp();
+    d_.emplace(base_ / "d", generations_);
+    for (const FileRecord& file : d_->files_of(5)) {
+      if (!file.chunk_fps.empty()) {
+        first_ = file.chunk_fps.front();
+        break;
+      }
+    }
+    const Result<ContainerId> cid = d_->server().chunk_store().locate(first_);
+    ASSERT_TRUE(cid.ok());
+    cid_ = cid.value();
+    Result<storage::Container> whole = d_->repository().read(cid_);
+    ASSERT_TRUE(whole.ok());
+    whole_.emplace(std::move(whole).value());
+    // Another chunk of the container, far from the first one, and not
+    // another copy of it.
+    const std::vector<storage::ChunkMeta>& metas = whole_->metadata();
+    ASSERT_GT(metas.size(), 2U);
+    other_ = metas.back().fp;
+    ASSERT_NE(other_, first_);
+
+    const FileRecord one = recipe_of(*whole_, {first_});
+    CollectingSink sink;
+    const Outcome read = d_->planned(std::span(&one, 1), sink);
+    ASSERT_EQ(read.code, Errc::kOk);
+    ASSERT_EQ(read.misses, 1U);
+    ASSERT_TRUE(d_->server().chunk_store().lpc().contains_container(cid_));
+    // Its header and metadata, then the one chunk: far less than the image.
+    ASSERT_EQ(repo_reads(read.reads).first, 2U);
+    ASSERT_LT(repo_reads(read.reads).second, whole_->capacity() / 4);
+  }
+  void TearDown() override {
+    whole_.reset();
+    d_.reset();
+    PlannedRestoreTest::TearDown();
+  }
+
+  std::optional<Deployment> d_;
+  Fingerprint first_;
+  Fingerprint other_;
+  ContainerId cid_;
+  std::optional<storage::Container> whole_;
+};
+
+TEST_F(PartlyReadTest, HitOnAChunkNotReadCompletesWithOneRead) {
+  const FileRecord other = recipe_of(*whole_, {other_});
+  CollectingSink sink;
+  const Outcome got = d_->planned(std::span(&other, 1), sink);
+  ASSERT_EQ(got.code, Errc::kOk);
+  EXPECT_EQ(got.hits, 1U);
+  EXPECT_EQ(got.misses, 0U);
+  EXPECT_EQ(repo_reads(got.reads).first, 1U);
+  ASSERT_EQ(got.files.size(), 1U);
+  EXPECT_TRUE(got.files[0].second == bytes_of(*whole_->find(other_)));
+
+  // The container is whole now: every chunk of it hits, through either
+  // restore path, and none reads the device.
+  FileRecord all;
+  all.meta.path = "all";
+  for (const storage::ChunkMeta& m : whole_->metadata()) {
+    all.chunk_fps.push_back(m.fp);
+    all.chunk_sizes.push_back(m.size);
+  }
+  CollectingSink all_sink;
+  const Outcome rest = d_->planned(std::span(&all, 1), all_sink);
+  ASSERT_EQ(rest.code, Errc::kOk);
+  EXPECT_EQ(rest.hits, all.chunk_fps.size());
+  EXPECT_EQ(rest.misses, 0U);
+  EXPECT_EQ(repo_reads(rest.reads).first, 0U);
+  std::vector<Byte> want;
+  for (const Fingerprint& fp : all.chunk_fps) {
+    const ByteSpan chunk = *whole_->find(fp);
+    want.insert(want.end(), chunk.begin(), chunk.end());
+  }
+  EXPECT_TRUE(all_sink.files[0].second == want);
+  CollectingSink probe_sink;
+  const Outcome probe = d_->observe(probe_sink, [&] {
+    return d_->server().chunk_store().read_chunk(first_).status();
+  });
+  EXPECT_EQ(probe.code, Errc::kOk);
+  EXPECT_EQ(repo_reads(probe.reads).first, 0U);
+}
+
+TEST_F(PartlyReadTest, FailedCompletionStopsTheRestoreAtThatChunk) {
+  const double model = d_->repository().total_node_seconds();
+  d_->injector().set_config({.read_error_rate = 1.0});
+  const FileRecord two = recipe_of(*whole_, {first_, other_});
+  CollectingSink sink;
+  const Outcome got = d_->planned(std::span(&two, 1), sink);
+  EXPECT_EQ(got.code, Errc::kIoError);
+  EXPECT_EQ(got.chunks, 1U);
+  ASSERT_EQ(got.files.size(), 1U);
+  EXPECT_TRUE(got.files[0].second == bytes_of(*whole_->find(first_)));
+  EXPECT_EQ(got.misses, 0U);
+
+  // The container stays cached in part, and completes once reads work.
+  d_->injector().set_config({});
+  const FileRecord other = recipe_of(*whole_, {other_});
+  CollectingSink again;
+  const Outcome retry = d_->planned(std::span(&other, 1), again);
+  ASSERT_EQ(retry.code, Errc::kOk);
+  EXPECT_EQ(retry.misses, 0U);
+  EXPECT_EQ(repo_reads(retry.reads).first, 1U);
+  EXPECT_TRUE(again.files[0].second == bytes_of(*whole_->find(other_)));
+  // Completing charges nothing: the miss paid for the whole container.
+  EXPECT_EQ(bits(d_->repository().total_node_seconds()), bits(model));
+}
+
+TEST_F(PartlyReadTest, RemovedContainerStillCompletesFromItsOffsets) {
+  ASSERT_TRUE(d_->repository().remove(cid_).ok());
+  ASSERT_FALSE(d_->repository().contains(cid_));
+  const FileRecord other = recipe_of(*whole_, {other_});
+  CollectingSink sink;
+  const Outcome got = d_->planned(std::span(&other, 1), sink);
+  ASSERT_EQ(got.code, Errc::kOk);
+  EXPECT_EQ(got.misses, 0U);
+  EXPECT_EQ(repo_reads(got.reads).first, 1U);
+  EXPECT_TRUE(sink.files[0].second == bytes_of(*whole_->find(other_)));
+}
+
+TEST_F(PlannedRestoreTest, StaleBytesInPooledFramesNeverReachTheSink) {
+  Deployment d(base_ / "d", generations_);
+  // Every frame the restores can take from the pool holds stale bytes
+  // where the chunks they do not read will sit.
+  storage::FramePool& pool = d.repository().frame_pool();
+  {
+    std::vector<storage::FrameBuffer> frames;
+    for (std::size_t k = 0; k < pool.max_idle(); ++k) {
+      frames.push_back(
+          pool.acquire(storage::Container::buffer_bytes(256 * KiB)));
+      std::memset(frames.back().data(), 0xA5, frames.back().size());
+    }
+  }
+  ASSERT_EQ(pool.idle(), pool.max_idle());
+  // Newest, then the oldest (completing containers the first restore read
+  // in part), then the newest again.
+  for (const std::uint32_t version : {5U, 1U, 5U}) {
+    CollectingSink sink;
+    const Outcome got = d.planned(version, sink);
+    ASSERT_EQ(got.code, Errc::kOk);
+    const Dataset& data = generations_[version - 1];
+    ASSERT_EQ(got.files.size(), data.files.size());
+    for (std::size_t f = 0; f < data.files.size(); ++f) {
+      EXPECT_TRUE(got.files[f].second == data.files[f].content)
+          << "version " << version << " " << data.files[f].path;
+    }
+  }
 }
 
 }  // namespace

@@ -160,7 +160,7 @@ struct TwoProcessRig {
 TEST(SocketTransportTest, DeliversFramesByteIdenticalAcrossProcesses) {
   TwoProcessRig rig;
   const Frame frame = make_frame(0, 1, 3, 77);
-  ASSERT_TRUE(rig.a.send(frame).ok());
+  ASSERT_TRUE(rig.a.send(Frame(frame)).ok());
 
   std::optional<Frame> got =
       rig.b.receive(1, 0, Deadline::after(kTestDeadline));

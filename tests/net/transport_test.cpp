@@ -49,7 +49,7 @@ TEST(LoopbackTransportTest, MetersSenderAtSendAndReceiverAtReceive) {
 
   const Frame frame = make_frame(0, 1, 0, 42);
   const std::uint64_t size = frame.bytes.size();
-  ASSERT_TRUE(transport.send(frame).ok());
+  ASSERT_TRUE(transport.send(Frame(frame)).ok());
   EXPECT_EQ(h.nic0.bytes_transferred(), size);
   EXPECT_EQ(h.nic1.bytes_transferred(), 0u);  // not delivered yet
 
@@ -114,8 +114,8 @@ TEST(EndpointTest, DiscardsDuplicateDeliveriesBySequence) {
   Endpoint receiver(&transport, 1);
 
   const Frame frame = make_frame(0, 1, 7, 5);
-  ASSERT_TRUE(transport.send(frame).ok());
-  ASSERT_TRUE(transport.send(frame).ok());  // duplicated delivery
+  ASSERT_TRUE(transport.send(Frame(frame)).ok());
+  ASSERT_TRUE(transport.send(Frame(frame)).ok());  // duplicated delivery
 
   EXPECT_TRUE(receiver.receive_from(0, Deadline::poll()).has_value());
   // The second copy crossed the wire but must not surface again.
@@ -167,6 +167,32 @@ TEST(FaultyTransportTest, DropsAreMeteredAndRetriesRedeliver) {
       50 * wire_bytes(Message{FingerprintBatch{
                .fps = {Sha1::hash_counter(0)}}});
   EXPECT_GT(h.nic0.bytes_transferred(), clean);
+}
+
+TEST(FaultyTransportTest, FailedSendsLeaveTheFrameIntact) {
+  // A sender retries the frame a failed send handed over, so no failure
+  // may take its bytes: not a refusal, not an unreachable peer, not a
+  // dropped transmission.
+  LoopbackTransport loopback;
+  Harness plain;
+  plain.register_on(loopback);
+  const Frame want = make_frame(0, 9, 4, 11);
+  Frame frame = want;
+  EXPECT_FALSE(loopback.send(std::move(frame)).ok());
+  EXPECT_EQ(frame.bytes, want.bytes);
+
+  FaultyTransport faulty(std::make_unique<LoopbackTransport>(),
+                         NetFaultConfig{.seed = 3, .drop_rate = 1.0});
+  Harness h;
+  h.register_on(faulty);
+  const Frame sent = make_frame(0, 1, 4, 12);
+  frame = sent;
+  EXPECT_FALSE(faulty.send(std::move(frame)).ok());  // dropped
+  EXPECT_EQ(frame.bytes, sent.bytes);
+  faulty.set_unreachable(1, true);
+  EXPECT_FALSE(faulty.send(std::move(frame)).ok());
+  EXPECT_EQ(frame.bytes, sent.bytes);
+  EXPECT_EQ(frame.seq, 4u);
 }
 
 TEST(FaultyTransportTest, MeterChargesSerializedSizeOncePerTransmission) {

@@ -15,7 +15,7 @@
 namespace debar {
 namespace {
 
-std::shared_ptr<const storage::Container> make_container(std::uint64_t id,
+std::shared_ptr<storage::Container> make_container(std::uint64_t id,
                                                          std::uint64_t base,
                                                          std::size_t chunks) {
   auto c = std::make_shared<storage::Container>(64 * 1024);

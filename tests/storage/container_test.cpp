@@ -256,6 +256,67 @@ TEST(ContainerTest, SealLaysOutTheSerializedImageInPlace) {
   EXPECT_EQ(back.value().metadata(), c.metadata());
 }
 
+TEST(ContainerTest, PartParsedContainerLoadsChunkByChunk) {
+  Container c(64 * KiB);
+  std::vector<std::vector<Byte>> chunks;
+  for (int k = 0; k < 3; ++k) {
+    chunks.push_back(chunk_data(k * 40, 100 + 50 * k));
+    const auto& d = chunks.back();
+    ASSERT_TRUE(
+        c.try_append(Sha1::hash_counter(k), ByteSpan(d.data(), d.size())));
+  }
+  c.set_id(ContainerId{9});
+  const std::vector<Byte> image = c.serialize();
+
+  // Only the header and metadata are in the buffer; the rest is stale.
+  FrameBuffer buffer(Container::buffer_bytes(image.size()));
+  std::memset(buffer.data(), 0xA5, buffer.size());
+  const std::uint64_t head = Container::head_bytes(3);
+  std::memcpy(buffer.data() + Container::kFrameRoom, image.data(), head);
+  const Container::Source source{.offset = 4096};
+  Result<Container> parsed =
+      Container::parse_head(std::move(buffer), image.size(), source);
+  ASSERT_TRUE(parsed.ok());
+  Container& part = parsed.value();
+  EXPECT_EQ(part.id().value, 9u);
+  EXPECT_EQ(part.metadata(), c.metadata());
+  EXPECT_EQ(part.source().offset, 4096u);
+  EXPECT_FALSE(part.whole());
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_FALSE(part.loaded(i));
+
+  // A run lands at its place in the image.
+  const ChunkMeta& m = part.metadata()[1];
+  const std::span<Byte> run =
+      part.image_span(head + m.offset, head + m.offset + m.size);
+  std::memcpy(run.data(), image.data() + head + m.offset, m.size);
+  part.set_loaded(1, 2);
+  EXPECT_TRUE(part.loaded(1));
+  EXPECT_FALSE(part.loaded(0));
+  EXPECT_FALSE(part.whole());
+  const ByteSpan got = part.chunk_at(1);
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), chunks[1].begin(),
+                         chunks[1].end()));
+
+  const std::span<Byte> all = part.image_span(0, image.size());
+  std::memcpy(all.data(), image.data(), image.size());
+  part.set_loaded(0, 3);
+  EXPECT_TRUE(part.whole());
+  EXPECT_TRUE(std::equal(part.image().begin(), part.image().end(),
+                         image.begin(), image.end()));
+
+  // A container parsed whole, and an empty one parsed in part, are whole.
+  FrameBuffer empty(Container::buffer_bytes(64 * KiB));
+  Container none(64 * KiB);
+  none.set_id(ContainerId{10});
+  const std::vector<Byte> none_image = none.serialize();
+  std::memcpy(empty.data() + Container::kFrameRoom, none_image.data(),
+              none_image.size());
+  Result<Container> empty_part =
+      Container::parse_head(std::move(empty), none_image.size(), source);
+  ASSERT_TRUE(empty_part.ok());
+  EXPECT_TRUE(empty_part.value().whole());
+}
+
 TEST(FramePoolTest, RecyclesUpToItsBound) {
   auto pool = std::make_shared<FramePool>(2);
   const Byte* first = nullptr;

@@ -414,7 +414,7 @@ TEST(PersistentRepositoryTest, FramePoolStaysWithinItsBound) {
   for (const ContainerId id : ids) {
     Result<Container> got = repo->read(id);
     ASSERT_TRUE(got.ok());
-    lpc.insert(std::make_shared<const Container>(std::move(got).value()));
+    lpc.insert(std::make_shared<Container>(std::move(got).value()));
     EXPECT_LE(pool.idle(), pool.max_idle());
   }
   EXPECT_EQ(probe->reads, kContainers);
