@@ -5,13 +5,10 @@
 // §5i). Emits machine-readable BENCH_chunking.json.
 //
 //   bench_chunking [--out <path>]   measure and write the JSON
-//   bench_chunking --check <path>   re-measure and compare against the
-//                                   checked-in baseline: fails if the
-//                                   best gear lane's speedup over scalar
-//                                   Rabin drops below the 3x acceptance
-//                                   bar or below 95% of the baseline's
-//                                   recorded speedup
+//   bench_chunking --check <path>   re-measure and gate against the
+//                                   checked-in baseline
 //
+// The gates are declared in measure(); bench/report.hpp applies them.
 // Absolute MB/s is machine-dependent, so the gate is on speedup RATIOS
 // measured in the same process on the same corpus — those survive a CI
 // runner swap; raw throughput numbers in the JSON are informational.
@@ -20,9 +17,7 @@
 // the scalar references while measuring: a lane that got fast by
 // cutting different chunks fails here before any test does.
 #include <cstdio>
-#include <cstring>
 #include <ctime>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -33,6 +28,7 @@
 #include "common/rng.hpp"
 #include "common/sha1.hpp"
 #include "common/simd.hpp"
+#include "report.hpp"
 #include "workload/file_tree.hpp"
 
 namespace {
@@ -133,14 +129,10 @@ LaneRun make_lane(const std::string& name, const char* algo,
   return run;
 }
 
-struct Measurement {
-  std::vector<Lane> lanes;
-  double gear_best_speedup = 0;   // best gear lane vs rabin-scalar
-  double gear_simd_speedup = 0;   // best gear lane vs gear-scalar
-  std::string gear_best_lane;
-};
+/// The acceptance bar the best gear lane must clear, here and in CI.
+constexpr double kMinSpeedup = 3.0;
 
-Measurement measure() {
+bench::Outcome measure() {
   const std::vector<std::vector<Byte>> corpus = make_corpus();
   std::vector<LaneRun> runs;
 
@@ -190,7 +182,14 @@ Measurement measure() {
   std::uint64_t total_bytes = 0;
   for (const auto& seg : corpus) total_bytes += seg.size();
   const LaneRun& gear_ref = runs[1];  // gear-scalar, the first gear lane
-  Measurement m;
+  bench::Outcome outcome;
+  bench::Report& report = outcome.report;
+  report.bench = "chunking";
+  report.workload = {
+      {"segments",
+       bench::label("256K/1M/4M/16M seeded random + 24-file versioned tree")},
+      {"reps", bench::count(kReps)},
+      {"measure", bench::label("chunk+fingerprint, best-of-reps")}};
   for (LaneRun& run : runs) {
     Lane& lane = run.lane;
     lane.mb_per_s =
@@ -208,119 +207,44 @@ Measurement measure() {
                    lane.name.c_str());
       std::exit(1);
     }
-    m.lanes.push_back(lane);
+    report.runs.push_back({{"lane", bench::label(lane.name)},
+                           {"algo", bench::label(lane.algo)},
+                           {"simd", bench::label(lane.simd)},
+                           {"mb_per_s", bench::number(lane.mb_per_s, 1)},
+                           {"chunks", bench::count(lane.chunks)}});
   }
 
-  const double rabin_mbs = m.lanes.front().mb_per_s;
+  const double rabin_mbs = runs.front().lane.mb_per_s;
   const double gear_scalar_mbs = gear_ref.lane.mb_per_s;
-  for (const Lane& lane : m.lanes) {
+  double best_speedup = 0;  // best gear lane vs rabin-scalar
+  double simd_speedup = 0;  // best gear lane vs gear-scalar
+  std::string best_lane;
+  for (const LaneRun& run : runs) {
+    const Lane& lane = run.lane;
     if (std::string(lane.algo) != "gear") continue;
     const double speedup = lane.mb_per_s / rabin_mbs;
-    if (speedup > m.gear_best_speedup) {
-      m.gear_best_speedup = speedup;
-      m.gear_best_lane = lane.name;
-      m.gear_simd_speedup = lane.mb_per_s / gear_scalar_mbs;
+    if (speedup > best_speedup) {
+      best_speedup = speedup;
+      best_lane = lane.name;
+      simd_speedup = lane.mb_per_s / gear_scalar_mbs;
     }
   }
   std::printf("best gear lane %s: %.2fx vs rabin-scalar, %.2fx vs "
               "gear-scalar\n",
-              m.gear_best_lane.c_str(), m.gear_best_speedup,
-              m.gear_simd_speedup);
-  return m;
-}
-
-void write_json(const Measurement& m, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"chunking\",\n");
-  std::fprintf(f,
-               "  \"workload\": {\"segments\": \"256K/1M/4M/16M seeded "
-               "random + 24-file versioned tree\", \"reps\": %d, "
-               "\"measure\": \"chunk+fingerprint, best-of-reps\"},\n",
-               kReps);
-  std::fprintf(f, "  \"runs\": [\n");
-  for (std::size_t i = 0; i < m.lanes.size(); ++i) {
-    const Lane& lane = m.lanes[i];
-    std::fprintf(f,
-                 "    {\"lane\": \"%s\", \"algo\": \"%s\", \"simd\": "
-                 "\"%s\", \"mb_per_s\": %.1f, \"chunks\": %llu}%s\n",
-                 lane.name.c_str(), lane.algo, lane.simd, lane.mb_per_s,
-                 static_cast<unsigned long long>(lane.chunks),
-                 i + 1 < m.lanes.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"speedup\": {\"gear_best_lane\": \"%s\", "
-               "\"gear_best_vs_rabin_scalar\": %.3f, "
-               "\"gear_best_vs_gear_scalar\": %.3f}\n",
-               m.gear_best_lane.c_str(), m.gear_best_speedup,
-               m.gear_simd_speedup);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-/// The acceptance bar BENCH_chunking.json must clear, here and in CI.
-constexpr double kMinSpeedup = 3.0;
-
-double baseline_speedup(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "baseline %s missing\n", path.c_str());
-    std::exit(1);
-  }
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const std::string key = "\"gear_best_vs_rabin_scalar\": ";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) {
-    std::fprintf(stderr, "baseline %s malformed\n", path.c_str());
-    std::exit(1);
-  }
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
-}
-
-int check(const std::string& path) {
-  const double baseline = baseline_speedup(path);
-  const Measurement m = measure();
-  int rc = 0;
-  if (m.gear_best_speedup < kMinSpeedup) {
-    std::fprintf(stderr,
-                 "fastest gear lane is %.2fx vs rabin-scalar, below the "
-                 "%.1fx acceptance bar\n",
-                 m.gear_best_speedup, kMinSpeedup);
-    rc = 1;
-  }
-  if (m.gear_best_speedup < 0.95 * baseline) {
-    std::fprintf(stderr,
-                 "fastest gear lane regressed >5%%: %.2fx vs baseline "
-                 "%.2fx\n",
-                 m.gear_best_speedup, baseline);
-    rc = 1;
-  }
-  if (rc == 0) {
-    std::printf("speedup %.2fx within 5%% of baseline %.2fx (bar %.1fx)\n",
-                m.gear_best_speedup, baseline, kMinSpeedup);
-  }
-  return rc;
+              best_lane.c_str(), best_speedup, simd_speedup);
+  report.metrics = {
+      {"gear_best_lane", bench::label(best_lane)},
+      {"gear_best_vs_rabin_scalar", bench::number(best_speedup, 3)},
+      {"gear_best_vs_gear_scalar", bench::number(simd_speedup, 3)}};
+  outcome.gates = {{.metric = "gear_best_vs_rabin_scalar",
+                    .better = bench::Better::kHigher,
+                    .tolerance = 0.05,
+                    .bar = kMinSpeedup}};
+  return outcome;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_chunking.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      return check(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-      continue;
-    }
-  }
-  write_json(measure(), out);
-  return 0;
+  return bench::bench_main(argc, argv, "BENCH_chunking.json", measure);
 }

@@ -13,17 +13,18 @@
 // --scale-out runs the elastic trajectory instead (DESIGN.md §5j): a
 // w=1 cluster ingests half the trace, splits live to w=2, and ingests
 // the rest; emits BENCH_elastic.json. --scale-out --check <path>
-// re-measures and gates the post-split speedup against the baseline.
+// re-measures and gates the post-split speedup against the baseline
+// (gates declared in measure_scale_out(), applied by bench/report.hpp).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "report.hpp"
 #include "workload/fingerprint_stream.hpp"
 
 namespace {
@@ -173,15 +174,7 @@ constexpr std::size_t kElasticStreamsAfter = 8;
 constexpr unsigned kElasticVersionsPerPhase = 3;
 constexpr std::uint64_t kElasticChunksPerVersion = 2000;  // per stream
 
-struct ElasticResult {
-  unsigned servers_before = 0;
-  unsigned servers_after = 0;
-  double gbps_before = 0;
-  double gbps_after = 0;
-  double speedup = 0;
-};
-
-ElasticResult run_scale_out() {
+bench::Outcome measure_scale_out() {
   core::ClusterConfig cfg;
   cfg.routing_bits = 1;
   cfg.repository_nodes = 4;
@@ -270,10 +263,9 @@ ElasticResult run_scale_out() {
 
   const double logical_per_stream = static_cast<double>(
       kElasticVersionsPerPhase) * kElasticChunksPerVersion * kChunkSize;
-  ElasticResult r;
-  r.servers_before = static_cast<unsigned>(cluster.server_count());
-  r.gbps_before = kElasticStreamsBefore * logical_per_stream /
-                  timed_phase(1, kElasticStreamsBefore) / 1e9;
+  const std::size_t servers_before = cluster.server_count();
+  const double gbps_before = kElasticStreamsBefore * logical_per_stream /
+                             timed_phase(1, kElasticStreamsBefore) / 1e9;
 
   const Status split = cluster.split();
   if (!split.ok()) {
@@ -281,11 +273,11 @@ ElasticResult run_scale_out() {
                  split.message().c_str());
     std::exit(1);
   }
-  r.servers_after = static_cast<unsigned>(cluster.server_count());
-  r.gbps_after = kElasticStreamsAfter * logical_per_stream /
-                 timed_phase(1 + kElasticVersionsPerPhase,
-                             kElasticStreamsAfter) / 1e9;
-  r.speedup = r.gbps_after / r.gbps_before;
+  const std::size_t servers_after = cluster.server_count();
+  const double gbps_after = kElasticStreamsAfter * logical_per_stream /
+                            timed_phase(1 + kElasticVersionsPerPhase,
+                                        kElasticStreamsAfter) / 1e9;
+  const double speedup = gbps_after / gbps_before;
 
   // Fidelity: every stream's final version restores through the last
   // split-added server (the whole trace, including pre-split data, must
@@ -295,7 +287,7 @@ ElasticResult run_scale_out() {
         s < kElasticStreamsBefore ? 1 + 2 * kElasticVersionsPerPhase
                                   : kElasticVersionsPerPhase;
     const auto restored =
-        cluster.restore(jobs[s], last_version, r.servers_after - 1);
+        cluster.restore(jobs[s], last_version, servers_after - 1);
     if (!restored.ok()) {
       std::fprintf(stderr, "post-split restore of stream %zu failed: %s\n",
                    s, restored.error().to_string().c_str());
@@ -303,70 +295,33 @@ ElasticResult run_scale_out() {
     }
   }
 
-  std::printf("scale-out: %u servers %.3f GB/s -> %u servers %.3f GB/s "
+  std::printf("scale-out: %zu servers %.3f GB/s -> %zu servers %.3f GB/s "
               "(speedup %.2fx)\n",
-              r.servers_before, r.gbps_before, r.servers_after,
-              r.gbps_after, r.speedup);
-  return r;
-}
+              servers_before, gbps_before, servers_after, gbps_after,
+              speedup);
 
-void write_elastic_json(const ElasticResult& r, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"elastic_scale_out\",\n");
-  std::fprintf(f,
-               "  \"workload\": {\"streams_before\": %zu, "
-               "\"streams_after\": %zu, \"versions_per_phase\": %u, "
-               "\"chunks_per_version\": %llu, \"chunk_bytes\": %u},\n",
-               kElasticStreamsBefore, kElasticStreamsAfter,
-               kElasticVersionsPerPhase,
-               static_cast<unsigned long long>(kElasticChunksPerVersion),
-               kChunkSize);
-  std::fprintf(f, "  \"before\": {\"servers\": %u, \"write_gbps\": %.4f},\n",
-               r.servers_before, r.gbps_before);
-  std::fprintf(f, "  \"after\": {\"servers\": %u, \"write_gbps\": %.4f},\n",
-               r.servers_after, r.gbps_after);
-  std::fprintf(f, "  \"speedup\": %.4f\n}\n", r.speedup);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-int check_scale_out(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "baseline %s missing\n", path.c_str());
-    return 1;
-  }
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const std::string key = "\"speedup\": ";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) {
-    std::fprintf(stderr, "baseline %s malformed: no speedup\n", path.c_str());
-    return 1;
-  }
-  const double baseline = std::strtod(text.c_str() + at + key.size(),
-                                      nullptr);
-  const ElasticResult r = run_scale_out();
-  // The measurement is on modeled clocks, so it is deterministic; the
-  // 5% margin only absorbs intentional model retunes, not runner noise.
-  if (r.speedup < 1.5) {
-    std::fprintf(stderr,
-                 "post-split speedup %.2fx below the 1.5x acceptance bar\n",
-                 r.speedup);
-    return 1;
-  }
-  if (r.speedup < baseline * 0.95) {
-    std::fprintf(stderr, "speedup regressed >5%%: %.3f vs baseline %.3f\n",
-                 r.speedup, baseline);
-    return 1;
-  }
-  std::printf("scale-out speedup %.2fx within 5%% of %s\n", r.speedup,
-              path.c_str());
-  return 0;
+  bench::Outcome outcome;
+  outcome.report = {
+      .bench = "elastic_scale_out",
+      .workload = {{"streams_before", bench::count(kElasticStreamsBefore)},
+                   {"streams_after", bench::count(kElasticStreamsAfter)},
+                   {"versions_per_phase",
+                    bench::count(kElasticVersionsPerPhase)},
+                   {"chunks_per_version",
+                    bench::count(kElasticChunksPerVersion)},
+                   {"chunk_bytes", bench::count(kChunkSize)}},
+      .metrics = {{"before_servers", bench::count(servers_before)},
+                  {"before_write_gbps", bench::number(gbps_before, 4)},
+                  {"after_servers", bench::count(servers_after)},
+                  {"after_write_gbps", bench::number(gbps_after, 4)},
+                  {"speedup", bench::number(speedup, 4)}}};
+  // The measurement is on modeled clocks, so it is deterministic; the 5%
+  // tolerance only absorbs intentional model retunes, not runner noise.
+  outcome.gates = {{.metric = "speedup",
+                    .better = bench::Better::kHigher,
+                    .tolerance = 0.05,
+                    .bar = 1.5}};
+  return outcome;
 }
 
 void BM_Fig15_Scaling(benchmark::State& state) {
@@ -391,18 +346,10 @@ BENCHMARK(BM_Fig15_Scaling)
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale-out") != 0) continue;
-    std::string out = "BENCH_elastic.json";
-    for (int j = 1; j < argc; ++j) {
-      if (std::strcmp(argv[j], "--check") == 0 && j + 1 < argc) {
-        return check_scale_out(argv[j + 1]);
-      }
-      if (std::strcmp(argv[j], "--out") == 0 && j + 1 < argc) {
-        out = argv[j + 1];
-      }
+    if (std::strcmp(argv[i], "--scale-out") == 0) {
+      return bench::bench_main(argc, argv, "BENCH_elastic.json",
+                               measure_scale_out);
     }
-    write_elastic_json(run_scale_out(), out);
-    return 0;
   }
   print_table();
   benchmark::Initialize(&argc, argv);

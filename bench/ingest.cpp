@@ -12,14 +12,11 @@
 //     tenant's admission latency in DRR rotations is the gated metric.
 //
 //   bench_ingest [--out <path>]    measure and write BENCH_ingest.json
-//   bench_ingest --check <path>    re-measure and compare: fails if the
-//                                  generation-2 wire reduction regressed
-//                                  >5% against the checked-in baseline,
-//                                  or any small tenant waited more
-//                                  rotations than the baseline recorded.
+//   bench_ingest --check <path>    re-measure and gate against the
+//                                  checked-in baseline
+//
+// The gates are declared in measure(); bench/report.hpp applies them.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -28,6 +25,7 @@
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
 #include "core/ingest_service.hpp"
+#include "report.hpp"
 #include "workload/tenant_mix.hpp"
 
 namespace {
@@ -168,7 +166,7 @@ void measure_fairness(Measurement& m) {
   service.shutdown();
 }
 
-Measurement measure() {
+bench::Outcome measure() {
   Measurement m;
   measure_dedup(m);
   measure_fairness(m);
@@ -184,105 +182,41 @@ Measurement measure() {
               "(hog tail: %llu)\n",
               static_cast<unsigned long long>(m.small_max_rotations),
               static_cast<unsigned long long>(m.hog_max_rotations));
-  if (m.gen2_reduction < kReductionBar) {
-    std::fprintf(stderr,
-                 "generation-2 wire reduction below the acceptance bar: "
-                 "%.2fx < %.2fx\n",
-                 m.gen2_reduction, kReductionBar);
-    std::exit(1);
-  }
-  if (m.small_max_rotations >= m.hog_max_rotations) {
-    std::fprintf(stderr, "DRR inverted: small tenants waited longer than "
-                         "the hog's tail\n");
-    std::exit(1);
-  }
-  return m;
-}
 
-void write_json(const Measurement& m, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) fail("cannot write", path);
-  std::fprintf(f, "{\n  \"bench\": \"ingest\",\n");
-  std::fprintf(f,
-               "  \"workload\": {\"tenants\": %llu, \"generations\": %u},\n",
-               static_cast<unsigned long long>(kTenants), kGenerations);
-  std::fprintf(f, "  \"generations\": [\n");
-  for (std::size_t i = 0; i < m.generations.size(); ++i) {
-    const GenerationRow& row = m.generations[i];
-    std::fprintf(f,
-                 "    {\"generation\": %u, \"logical_bytes\": %llu, "
-                 "\"transferred_bytes\": %llu, \"chunks\": %llu, "
-                 "\"reduction\": %.2f}%s\n",
-                 row.generation,
-                 static_cast<unsigned long long>(row.logical_bytes),
-                 static_cast<unsigned long long>(row.transferred_bytes),
-                 static_cast<unsigned long long>(row.chunks), row.reduction,
-                 i + 1 < m.generations.size() ? "," : "");
+  bench::Outcome outcome;
+  bench::Report& report = outcome.report;
+  report.bench = "ingest";
+  report.workload = {{"tenants", bench::count(kTenants)},
+                     {"generations", bench::count(kGenerations)}};
+  for (const GenerationRow& row : m.generations) {
+    report.runs.push_back(
+        {{"generation", bench::count(row.generation)},
+         {"logical_bytes", bench::count(row.logical_bytes)},
+         {"transferred_bytes", bench::count(row.transferred_bytes)},
+         {"chunks", bench::count(row.chunks)},
+         {"reduction", bench::number(row.reduction, 2)}});
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"summary\": {\"gen2_reduction\": %.2f, "
-               "\"small_max_rotations\": %llu, \"hog_max_rotations\": "
-               "%llu}\n",
-               m.gen2_reduction,
-               static_cast<unsigned long long>(m.small_max_rotations),
-               static_cast<unsigned long long>(m.hog_max_rotations));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-double baseline_value(const std::string& text, const std::string& key,
-                      const std::string& path) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) fail("baseline malformed", path);
-  return std::strtod(text.c_str() + at + needle.size(), nullptr);
-}
-
-int check(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) fail("baseline missing", path);
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const double base_reduction =
-      baseline_value(text, "gen2_reduction", path);
-  const double base_rotations =
-      baseline_value(text, "small_max_rotations", path);
-
-  const Measurement m = measure();
-  if (m.gen2_reduction < base_reduction * 0.95) {
-    std::fprintf(stderr,
-                 "generation-2 wire reduction regressed >5%%: %.2fx vs "
-                 "baseline %.2fx\n",
-                 m.gen2_reduction, base_reduction);
-    return 1;
-  }
-  if (static_cast<double>(m.small_max_rotations) > base_rotations) {
-    std::fprintf(stderr,
-                 "small-tenant admission latency regressed: %llu rotations "
-                 "vs baseline %.0f\n",
-                 static_cast<unsigned long long>(m.small_max_rotations),
-                 base_rotations);
-    return 1;
-  }
-  std::printf("ingest trajectory within bounds of %s\n", path.c_str());
-  return 0;
+  report.metrics = {
+      {"gen2_reduction", bench::number(m.gen2_reduction, 2)},
+      {"small_max_rotations", bench::count(m.small_max_rotations)},
+      {"hog_max_rotations", bench::count(m.hog_max_rotations)}};
+  outcome.gates = {
+      {.metric = "gen2_reduction",
+       .better = bench::Better::kHigher,
+       .tolerance = 0.05,
+       .bar = kReductionBar},
+      // No small tenant may wait more rotations than the baseline
+      // recorded, and DRR must keep every small tenant strictly ahead of
+      // the hog's tail.
+      {.metric = "small_max_rotations",
+       .better = bench::Better::kLower,
+       .tolerance = 0.0,
+       .bar = static_cast<double>(m.hog_max_rotations) - 1}};
+  return outcome;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_ingest.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      return check(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-      continue;
-    }
-  }
-  write_json(measure(), out);
-  return 0;
+  return bench::bench_main(argc, argv, "BENCH_ingest.json", measure);
 }

@@ -6,24 +6,22 @@
 // before and after the round.
 //
 //   bench_retention [--out <path>]     measure and write the JSON
-//   bench_retention --check <path>     re-measure and compare against a
-//                                      checked-in baseline: fails if the
-//                                      post-round aged throughput dropped
-//                                      below fresh/1.25 or regressed >5%
+//   bench_retention --check <path>     re-measure and gate against a
+//                                      checked-in baseline
 //
+// The gates are declared in measure(); bench/report.hpp applies them.
 // Restore time is charged on the paper's chunk-log disk model — one
 // positioning cost per container switch plus sequential transfer — so
 // the measurement is deterministic (a property of chunk placement, not
 // of the CI runner) and the gate runs in every build configuration.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/sha1.hpp"
 #include "core/backup_engine.hpp"
 #include "core/maintenance.hpp"
+#include "report.hpp"
 #include "sim/disk_model.hpp"
 
 namespace {
@@ -87,16 +85,15 @@ VersionCost restore_cost(core::BackupServer& server, unsigned v) {
   return cost;
 }
 
-struct Measurement {
-  std::vector<VersionCost> before;  // v1..vN, pre-maintenance
-  std::vector<VersionCost> after;   // survivors only, post-maintenance
-  core::MaintenanceReport report;
-  double fresh_mbps = 0;        // v1 restored off its own sequential pass
-  double aged_before_mbps = 0;  // newest version, pre-round
-  double aged_after_mbps = 0;   // newest version, post-round
-};
+bench::Fields run_row(const char* phase, const VersionCost& cost) {
+  return {{"phase", bench::label(phase)},
+          {"version", bench::count(cost.version)},
+          {"container_switches", bench::count(cost.container_switches)},
+          {"seconds", bench::number(cost.seconds, 4)},
+          {"mbps", bench::number(cost.mbps, 1)}};
+}
 
-Measurement measure() {
+bench::Outcome measure() {
   // Four storage nodes so mature versions also scatter across nodes —
   // the locality pass's default trigger (nodes touched > 1).
   storage::ChunkRepository repository(4);
@@ -137,11 +134,12 @@ Measurement measure() {
     }
   }
 
-  Measurement m;
+  std::vector<VersionCost> before;  // v1..vN, pre-maintenance
   for (unsigned v = 1; v <= kVersions; ++v) {
-    m.before.push_back(restore_cost(server, v));
+    before.push_back(restore_cost(server, v));
   }
-  m.fresh_mbps = m.before.front().mbps;
+  // v1 restored off its own sequential pass.
+  const double fresh_mbps = before.front().mbps;
 
   core::MaintenanceJob maintenance(director, server, repository,
                                    {.container_capacity = 64 * 1024});
@@ -149,138 +147,69 @@ Measurement measure() {
     std::fprintf(stderr, "maintenance failed: %s\n", s.to_string().c_str());
     std::exit(1);
   }
-  m.report = maintenance.report();
-  if (m.report.versions_expired != kVersions - kKeepLast) {
+  const core::MaintenanceReport round = maintenance.report();
+  if (round.versions_expired != kVersions - kKeepLast) {
     std::fprintf(stderr, "expected %u expired versions, got %llu\n",
                  kVersions - kKeepLast,
-                 static_cast<unsigned long long>(m.report.versions_expired));
+                 static_cast<unsigned long long>(round.versions_expired));
     std::exit(1);
   }
 
+  std::vector<VersionCost> after;  // survivors only, post-maintenance
   for (unsigned v = kVersions - kKeepLast + 1; v <= kVersions; ++v) {
-    m.after.push_back(restore_cost(server, v));
+    after.push_back(restore_cost(server, v));
   }
   // The gated pair is the NEWEST version — the restore-critical one, and
   // the one the locality pass re-sequences first (older survivors share
   // chunks with it, so they improve but keep some interleaving; the JSON
   // carries their full curves).
-  m.aged_before_mbps = m.before.back().mbps;
-  m.aged_after_mbps = m.after.back().mbps;
+  const double aged_before_mbps = before.back().mbps;
+  const double aged_after_mbps = after.back().mbps;
 
-  std::printf("fresh (v1, sequential): %.1f MB/s\n", m.fresh_mbps);
+  std::printf("fresh (v1, sequential): %.1f MB/s\n", fresh_mbps);
   std::printf("aged before round (newest version): %.1f MB/s\n",
-              m.aged_before_mbps);
+              aged_before_mbps);
   std::printf("aged after round  (newest version): %.1f MB/s "
               "(bar: >= fresh / %.2f)\n",
-              m.aged_after_mbps, kAgedBar);
+              aged_after_mbps, kAgedBar);
   std::printf("round: expired %llu, rewrote %llu versions "
               "(%llu chunks), reclaimed %.1f MiB\n",
-              static_cast<unsigned long long>(m.report.versions_expired),
-              static_cast<unsigned long long>(m.report.versions_rewritten),
-              static_cast<unsigned long long>(m.report.chunks_rewritten),
-              static_cast<double>(m.report.bytes_reclaimed) / (1 << 20));
-  if (m.aged_after_mbps * kAgedBar < m.fresh_mbps) {
-    std::fprintf(stderr,
-                 "aged restore throughput below the acceptance bar: "
-                 "%.1f MB/s vs fresh %.1f MB/s\n",
-                 m.aged_after_mbps, m.fresh_mbps);
-    std::exit(1);
-  }
-  return m;
-}
+              static_cast<unsigned long long>(round.versions_expired),
+              static_cast<unsigned long long>(round.versions_rewritten),
+              static_cast<unsigned long long>(round.chunks_rewritten),
+              static_cast<double>(round.bytes_reclaimed) / (1 << 20));
 
-void write_json(const Measurement& m, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
+  bench::Outcome outcome;
+  bench::Report& report = outcome.report;
+  report.bench = "retention";
+  report.workload = {{"versions", bench::count(kVersions)},
+                     {"chunks_per_version", bench::count(kChunksPerVersion)},
+                     {"chunk_bytes", bench::count(kChunkSize)},
+                     {"rewrite_period", bench::count(kRewritePeriod)},
+                     {"keep_last", bench::count(kKeepLast)}};
+  for (const VersionCost& cost : before) {
+    report.runs.push_back(run_row("before", cost));
   }
-  std::fprintf(f, "{\n  \"bench\": \"retention\",\n");
-  std::fprintf(f,
-               "  \"workload\": {\"versions\": %u, \"chunks_per_version\": "
-               "%llu, \"chunk_bytes\": %u, \"rewrite_period\": %u, "
-               "\"keep_last\": %u},\n",
-               kVersions,
-               static_cast<unsigned long long>(kChunksPerVersion),
-               kChunkSize, kRewritePeriod, kKeepLast);
-  const auto dump = [&](const char* key, const std::vector<VersionCost>& vs,
-                        const char* tail) {
-    std::fprintf(f, "  \"%s\": [\n", key);
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"version\": %u, \"container_switches\": %llu, "
-                   "\"seconds\": %.4f, \"mbps\": %.1f}%s\n",
-                   vs[i].version,
-                   static_cast<unsigned long long>(vs[i].container_switches),
-                   vs[i].seconds, vs[i].mbps,
-                   i + 1 < vs.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]%s\n", tail);
-  };
-  dump("before", m.before, ",");
-  dump("after", m.after, ",");
-  std::fprintf(f,
-               "  \"round\": {\"versions_expired\": %llu, "
-               "\"versions_rewritten\": %llu, \"chunks_rewritten\": %llu, "
-               "\"bytes_reclaimed\": %llu},\n",
-               static_cast<unsigned long long>(m.report.versions_expired),
-               static_cast<unsigned long long>(m.report.versions_rewritten),
-               static_cast<unsigned long long>(m.report.chunks_rewritten),
-               static_cast<unsigned long long>(m.report.bytes_reclaimed));
-  std::fprintf(f,
-               "  \"summary\": {\"fresh_mbps\": %.1f, "
-               "\"aged_before_mbps\": %.1f, \"aged_after_mbps\": %.1f}\n",
-               m.fresh_mbps, m.aged_before_mbps, m.aged_after_mbps);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-/// Pull `"aged_after_mbps": N` out of the baseline (the gated quantity).
-double baseline_aged_after(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "baseline %s missing\n", path.c_str());
-    std::exit(1);
+  for (const VersionCost& cost : after) {
+    report.runs.push_back(run_row("after", cost));
   }
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const std::string key = "\"aged_after_mbps\": ";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) {
-    std::fprintf(stderr, "baseline %s malformed\n", path.c_str());
-    std::exit(1);
-  }
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
-}
-
-int check(const std::string& path) {
-  const double baseline = baseline_aged_after(path);
-  const Measurement m = measure();
-  if (m.aged_after_mbps < baseline * 0.95) {
-    std::fprintf(stderr,
-                 "aged restore throughput regressed >5%%: %.1f MB/s vs "
-                 "baseline %.1f MB/s\n",
-                 m.aged_after_mbps, baseline);
-    return 1;
-  }
-  std::printf("aged restore throughput within 5%% of %s\n", path.c_str());
-  return 0;
+  report.metrics = {
+      {"versions_expired", bench::count(round.versions_expired)},
+      {"versions_rewritten", bench::count(round.versions_rewritten)},
+      {"chunks_rewritten", bench::count(round.chunks_rewritten)},
+      {"bytes_reclaimed", bench::count(round.bytes_reclaimed)},
+      {"fresh_mbps", bench::number(fresh_mbps, 1)},
+      {"aged_before_mbps", bench::number(aged_before_mbps, 1)},
+      {"aged_after_mbps", bench::number(aged_after_mbps, 1)}};
+  outcome.gates = {{.metric = "aged_after_mbps",
+                    .better = bench::Better::kHigher,
+                    .tolerance = 0.05,
+                    .bar = fresh_mbps / kAgedBar}};
+  return outcome;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_retention.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      return check(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-      continue;
-    }
-  }
-  write_json(measure(), out);
-  return 0;
+  return bench::bench_main(argc, argv, "BENCH_retention.json", measure);
 }

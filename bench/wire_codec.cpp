@@ -5,24 +5,22 @@
 // (ROADMAP item 1).
 //
 //   bench_wire_codec [--out <path>]     measure and write the JSON
-//   bench_wire_codec --check <path>     re-measure and compare against a
-//                                       checked-in baseline: fails if the
-//                                       codec-on wire bytes regressed >5%
-//                                       or the reduction fell below 30%
+//   bench_wire_codec --check <path>     re-measure and gate against a
+//                                       checked-in baseline
 //
+// The gates are declared in measure(); bench/report.hpp applies them.
 // Wire bytes are deterministic up to a few container-ID delta bytes
 // (phase D allocates container IDs across concurrent origins), which is
-// why the check uses a tolerance instead of equality.
+// why the wire-bytes gate uses a tolerance instead of equality.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "net/transport_factory.hpp"
+#include "report.hpp"
 #include "workload/fingerprint_stream.hpp"
 
 namespace {
@@ -145,15 +143,20 @@ double reduction(const Leg& off, const Leg& on) {
                    static_cast<double>(off.stats.bytes_sent);
 }
 
-/// The four legs, in the fixed order the JSON (and the checker) uses:
-/// loopback off, loopback on, socket off, socket on.
-std::vector<Leg> measure() {
-  std::vector<Leg> legs;
+/// The four legs, in the order the JSON lists them: loopback off,
+/// loopback on, socket off, socket on.
+bench::Outcome measure() {
+  bench::Outcome outcome;
+  bench::Report& report = outcome.report;
+  report.bench = "wire_codec";
+  report.workload = {{"servers", bench::count(kServers)},
+                     {"streams", bench::count(kStreams)},
+                     {"versions", bench::count(kVersions)},
+                     {"chunks_per_version", bench::count(kChunksPerVersion)},
+                     {"chunk_bytes", bench::count(kChunkSize)}};
   for (const bool socket : {false, true}) {
-    legs.push_back(run_leg(socket, /*codec_on=*/false));
-    legs.push_back(run_leg(socket, /*codec_on=*/true));
-    const Leg& off = legs[legs.size() - 2];
-    const Leg& on = legs.back();
+    const Leg off = run_leg(socket, /*codec_on=*/false);
+    const Leg on = run_leg(socket, /*codec_on=*/true);
     if (on.restored != off.restored || on.restored.empty()) {
       std::fprintf(stderr, "%s: codec-on restore differs from codec-off\n",
                    on.transport);
@@ -172,111 +175,34 @@ std::vector<Leg> measure() {
                 static_cast<unsigned long long>(on.stats.bytes_sent),
                 reduction(off, on) * 100.0, off.wall_seconds,
                 on.wall_seconds);
-    if (reduction(off, on) < 0.30) {
-      std::fprintf(stderr, "%s: reduction below the 30%% acceptance bar\n",
-                   on.transport);
-      std::exit(1);
+    for (const Leg* leg : {&off, &on}) {
+      report.runs.push_back(
+          {{"transport", bench::label(leg->transport)},
+           {"codec", bench::label(leg->codec)},
+           {"raw_bytes", bench::count(leg->stats.raw_bytes_sent)},
+           {"wire_bytes", bench::count(leg->stats.bytes_sent)},
+           {"frames", bench::count(leg->stats.frames_sent)},
+           {"wall_seconds", bench::number(leg->wall_seconds, 3)}});
     }
+    const std::string name = on.transport;
+    report.metrics.push_back(
+        {name + "_reduction", bench::number(reduction(off, on), 4)});
+    report.metrics.push_back({name + "_codec_on_wire_bytes",
+                              bench::count(on.stats.bytes_sent)});
+    // Only the codec-on legs gate on the baseline: the off legs are the
+    // paper-model wire, pinned exactly by cluster_exchange_test already.
+    outcome.gates.push_back({.metric = name + "_reduction",
+                             .better = bench::Better::kHigher,
+                             .bar = 0.30});
+    outcome.gates.push_back({.metric = name + "_codec_on_wire_bytes",
+                             .better = bench::Better::kLower,
+                             .tolerance = 0.05});
   }
-  return legs;
-}
-
-void write_json(const std::vector<Leg>& legs, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"wire_codec\",\n");
-  std::fprintf(f,
-               "  \"workload\": {\"servers\": %zu, \"streams\": %zu, "
-               "\"versions\": %u, \"chunks_per_version\": %llu, "
-               "\"chunk_bytes\": %u},\n",
-               kServers, kStreams, kVersions,
-               static_cast<unsigned long long>(kChunksPerVersion),
-               kChunkSize);
-  std::fprintf(f, "  \"runs\": [\n");
-  for (std::size_t i = 0; i < legs.size(); ++i) {
-    const Leg& leg = legs[i];
-    std::fprintf(f,
-                 "    {\"transport\": \"%s\", \"codec\": \"%s\", "
-                 "\"raw_bytes\": %llu, \"wire_bytes\": %llu, "
-                 "\"frames\": %llu, \"wall_seconds\": %.3f}%s\n",
-                 leg.transport, leg.codec,
-                 static_cast<unsigned long long>(leg.stats.raw_bytes_sent),
-                 static_cast<unsigned long long>(leg.stats.bytes_sent),
-                 static_cast<unsigned long long>(leg.stats.frames_sent),
-                 leg.wall_seconds, i + 1 < legs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"reduction\": {\"loopback\": %.4f, \"socket\": %.4f}\n",
-               reduction(legs[0], legs[1]), reduction(legs[2], legs[3]));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-/// Pull every `"wire_bytes": N` out of the baseline, in file order. A
-/// full JSON parser would be overkill for a file this bench itself wrote.
-std::vector<unsigned long long> baseline_wire_bytes(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "baseline %s missing\n", path.c_str());
-    std::exit(1);
-  }
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  std::vector<unsigned long long> values;
-  const std::string key = "\"wire_bytes\": ";
-  for (std::size_t at = text.find(key); at != std::string::npos;
-       at = text.find(key, at + 1)) {
-    values.push_back(std::strtoull(text.c_str() + at + key.size(), nullptr,
-                                   10));
-  }
-  return values;
-}
-
-int check(const std::string& path) {
-  const std::vector<unsigned long long> baseline = baseline_wire_bytes(path);
-  if (baseline.size() != 4) {
-    std::fprintf(stderr, "baseline %s malformed: %zu wire_bytes entries\n",
-                 path.c_str(), baseline.size());
-    return 1;
-  }
-  const std::vector<Leg> legs = measure();
-  int rc = 0;
-  for (std::size_t i = 0; i < legs.size(); ++i) {
-    // Only the codec-on legs gate: the off legs are the paper-model wire,
-    // pinned exactly by cluster_exchange_test already.
-    if (std::string(legs[i].codec) != "on") continue;
-    const double measured = static_cast<double>(legs[i].stats.bytes_sent);
-    const double allowed = static_cast<double>(baseline[i]) * 1.05;
-    if (measured > allowed) {
-      std::fprintf(stderr,
-                   "%s codec-on wire bytes regressed >5%%: %.0f vs "
-                   "baseline %llu\n",
-                   legs[i].transport, measured, baseline[i]);
-      rc = 1;
-    }
-  }
-  if (rc == 0) std::printf("wire bytes within 5%% of %s\n", path.c_str());
-  return rc;
+  return outcome;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_wire.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      return check(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-      continue;
-    }
-  }
-  write_json(measure(), out);
-  return 0;
+  return bench::bench_main(argc, argv, "BENCH_wire.json", measure);
 }

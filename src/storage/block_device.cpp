@@ -27,7 +27,10 @@ Status MemBlockDevice::read(std::uint64_t offset, std::span<Byte> out) {
             debar::format("read [{}, {}) past device size {}", offset,
                         offset + out.size(), data_.size())};
   }
-  std::memcpy(out.data(), data_.data() + offset, out.size());
+  // An empty span or device may hand memcpy a null pointer.
+  if (!out.empty()) {
+    std::memcpy(out.data(), data_.data() + offset, out.size());
+  }
   account(offset, out.size());
   return Status::Ok();
 }
@@ -35,7 +38,9 @@ Status MemBlockDevice::read(std::uint64_t offset, std::span<Byte> out) {
 Status MemBlockDevice::write(std::uint64_t offset, ByteSpan data) {
   const std::uint64_t end = offset + data.size();
   if (end > data_.size()) data_.resize(end, 0);
-  std::memcpy(data_.data() + offset, data.data(), data.size());
+  if (!data.empty()) {
+    std::memcpy(data_.data() + offset, data.data(), data.size());
+  }
   account(offset, data.size());
   return Status::Ok();
 }

@@ -45,6 +45,13 @@ TEST(MemBlockDeviceTest, ResizeGrowsAndShrinks) {
   EXPECT_EQ(dev.size(), 10u);
 }
 
+TEST(MemBlockDeviceTest, EmptySpansOnEmptyDevice) {
+  MemBlockDevice dev;
+  ASSERT_TRUE(dev.write(0, ByteSpan()).ok());
+  EXPECT_EQ(dev.size(), 0u);
+  ASSERT_TRUE(dev.read(0, std::span<Byte>()).ok());
+}
+
 TEST(MemBlockDeviceTest, AccountsSimTime) {
   sim::SimClock clock;
   sim::DiskModel model({.seek_seconds = 0.0, .transfer_bytes_per_sec = 100.0},
