@@ -368,32 +368,32 @@ int run_driver(NodeState& st, net::Endpoint& client, unsigned w,
 
   // A reclaimed chunk must be unlocatable everywhere — probe before any
   // restore warms the locality cache with surviving containers.
-  if (Result<std::vector<Byte>> dead = node.read_chunk_via(fp_of(0), client);
-      dead.ok()) {
+  const core::FileRecord expired{.chunk_fps = {fp_of(0)}};
+  core::Dataset dead;
+  core::DatasetSink probe(dead);
+  if (node.restore({&expired, 1}, client, probe).ok()) {
     std::fprintf(stderr, "expired chunk 0 still restorable after GC\n");
     return 1;
   }
 
-  // Restore every chunk of the surviving generation through node 0 and
-  // verify against the synthetic payloads.
-  std::uint64_t restored_chunks = 0, restored_bytes = 0;
+  // Restore the surviving generation through node 0 as one recipe and
+  // verify it against the synthetic payloads.
+  const core::JobVersionRecord survivor = *st.director.latest_version(job);
+  core::Dataset restored;
+  core::DatasetSink collect(restored);
+  if (Status s = node.restore(survivor.files, client, collect); !s.ok()) {
+    std::fprintf(stderr, "restore failed: %s\n", s.to_string().c_str());
+    return 1;
+  }
+  std::vector<Byte> expected;
   for (std::uint64_t i = kV2First; i < kV2First + kV2Count; ++i) {
-    const Fingerprint f = fp_of(i);
-    Result<std::vector<Byte>> bytes = node.read_chunk_via(f, client);
-    if (!bytes.ok()) {
-      std::fprintf(stderr, "restore of chunk %llu failed: %s\n",
-                   static_cast<unsigned long long>(i),
-                   bytes.error().to_string().c_str());
-      return 1;
-    }
-    if (bytes.value() !=
-        core::BackupEngine::synthetic_payload(f, kChunkBytes)) {
-      std::fprintf(stderr, "chunk %llu restored with wrong content\n",
-                   static_cast<unsigned long long>(i));
-      return 1;
-    }
-    ++restored_chunks;
-    restored_bytes += bytes.value().size();
+    const auto payload = core::BackupEngine::synthetic_payload(fp_of(i),
+                                                               kChunkBytes);
+    expected.insert(expected.end(), payload.begin(), payload.end());
+  }
+  if (restored.files[0].content != expected) {
+    std::fprintf(stderr, "surviving generation restored with wrong content\n");
+    return 1;
   }
 
   // Release the peers' serve loops.
@@ -424,8 +424,8 @@ int run_driver(NodeState& st, net::Endpoint& client, unsigned w,
           << " live_chunks=" << mrep.live_chunks
           << " dead_chunks=" << mrep.dead_chunks
           << " reclaimed_bytes=" << mrep.bytes_reclaimed << "\n";
-  summary << "restored_chunks=" << restored_chunks
-          << " restored_bytes=" << restored_bytes
+  summary << "restored_chunks=" << survivor.files[0].chunk_fps.size()
+          << " restored_bytes=" << restored.files[0].content.size()
           << " expired_unlocatable=ok verified=ok\n";
   std::ofstream out(dir / "summary.txt", std::ios::trunc);
   out << summary.str();

@@ -171,8 +171,8 @@ bool content_matches(const Fingerprint& fp, ByteSpan data) {
   return stamped || Sha1::hash(data) == fp;
 }
 
-/// What a restore does with each chunk beyond reading it: check it
-/// against the file index, send it over the server's NIC, and pass it on.
+/// What a restore does with each chunk beyond reading and sizing it:
+/// verify it when asked, send it over the server's NIC, and pass it on.
 class CheckedSink final : public RestoreSink {
  public:
   CheckedSink(RestoreSink& out, sim::NicModel& nic, bool verify)
@@ -186,11 +186,6 @@ class CheckedSink final : public RestoreSink {
 
   Status chunk(ByteSpan data) override {
     const std::size_t i = next_++;
-    if (data.size() != file_->chunk_sizes[i]) {
-      return {Errc::kCorrupt,
-              format("chunk {} of {} has size {} (expected {})", i,
-                     file_->meta.path, data.size(), file_->chunk_sizes[i])};
-    }
     if (verify_ && !content_matches(file_->chunk_fps[i], data)) {
       return {Errc::kCorrupt, format("chunk {} of {} failed verification", i,
                                      file_->meta.path)};
@@ -208,30 +203,6 @@ class CheckedSink final : public RestoreSink {
   bool verify_;
   const FileRecord* file_ = nullptr;
   std::size_t next_ = 0;
-};
-
-/// Collects a restore into a Dataset.
-class DatasetSink final : public RestoreSink {
- public:
-  explicit DatasetSink(Dataset& out) : out_(out) {}
-
-  Status begin_file(const FileRecord& file) override {
-    FileData& data = out_.files.emplace_back();
-    data.path = file.meta.path;
-    data.content.reserve(file.logical_bytes());
-    return Status::Ok();
-  }
-
-  Status chunk(ByteSpan data) override {
-    std::vector<Byte>& content = out_.files.back().content;
-    content.insert(content.end(), data.begin(), data.end());
-    return Status::Ok();
-  }
-
-  Status end_file() override { return Status::Ok(); }
-
- private:
-  Dataset& out_;
 };
 
 }  // namespace
@@ -414,14 +385,9 @@ Status BackupEngine::restore(std::uint64_t job_id, std::uint32_t version,
 Result<Dataset> BackupEngine::restore(std::uint64_t job_id,
                                       std::uint32_t version,
                                       BackupServer& server, bool verify) {
-  const Result<JobVersionRecord> record = recorded(job_id, version);
-  if (!record.ok()) return record.error();
   Dataset out;
-  out.files.reserve(record.value().files.size());
   DatasetSink collect(out);
-  CheckedSink checked(collect, server.nic(), verify);
-  if (Status s = server.chunk_store().restore(record.value().files, checked);
-      !s.ok()) {
+  if (Status s = restore(job_id, version, server, collect, verify); !s.ok()) {
     return Error{s.code(), s.message()};
   }
   return out;

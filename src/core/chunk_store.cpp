@@ -5,6 +5,7 @@
 #include <future>
 #include <unordered_set>
 
+#include "common/fmt.hpp"
 #include "common/log.hpp"
 
 namespace debar::core {
@@ -106,7 +107,17 @@ struct ChunkStore::ReadAhead {
 };
 
 Status ChunkStore::restore(std::span<const FileRecord> files,
-                           RestoreSink& sink) {
+                           RestoreSink& sink, const Locate& locate) {
+  // A chunk reaches the sink only at the size its record keeps, if any.
+  const auto deliver = [&sink](const FileRecord& file, std::size_t i,
+                               ByteSpan chunk) -> Status {
+    if (file.chunk_sizes.empty() || chunk.size() == file.chunk_sizes[i]) {
+      return sink.chunk(chunk);
+    }
+    return {Errc::kCorrupt,
+            format("chunk {} of {} has size {} (expected {})", i,
+                   file.meta.path, chunk.size(), file.chunk_sizes[i])};
+  };
   // Read ahead only where a miss costs a device read and a pool can make
   // it; otherwise every miss reads at the miss.
   ThreadPool* const pool =
@@ -134,7 +145,9 @@ Status ChunkStore::restore(std::span<const FileRecord> files,
         if (!c.loaded(hit->index)) {
           if (Status s = complete(c); !s.ok()) return s;
         }
-        if (Status s = sink.chunk(c.chunk_at(hit->index)); !s.ok()) return s;
+        if (Status s = deliver(file, i, c.chunk_at(hit->index)); !s.ok()) {
+          return s;
+        }
         continue;
       }
       assert((!ahead.has_value() || ahead->at == Cursor{f, i, pos}) &&
@@ -146,18 +159,18 @@ Status ChunkStore::restore(std::span<const FileRecord> files,
         }
       }
       Result<storage::Container> container =
-          fetch_miss(fp, pos, last_use, ahead);
+          fetch_miss(fp, pos, last_use, locate, ahead);
       ahead.reset();
       const Result<ByteSpan> chunk =
           cache_container(fp, std::move(container), pool != nullptr);
       if (!chunk.ok()) return chunk.status();
-      if (Status s = sink.chunk(chunk.value()); !s.ok()) return s;
+      if (Status s = deliver(file, i, chunk.value()); !s.ok()) return s;
       if (pool == nullptr) continue;
       // Hits change recency, never membership: the first later chunk the
       // LPC does not hold now is exactly the next miss.
       if (const std::optional<Cursor> next = next_miss(files, {f, i, pos})) {
         read_ahead(files[next->file].chunk_fps[next->chunk], *next, last_use,
-                   *pool, ahead);
+                   locate, *pool, ahead);
       }
     }
     if (Status s = sink.end_file(); !s.ok()) return s;
@@ -179,13 +192,14 @@ std::optional<ChunkStore::Cursor> ChunkStore::next_miss(
 }
 
 void ChunkStore::read_ahead(const Fingerprint& fp, Cursor at,
-                            const LastUse& last_use, ThreadPool& pool,
+                            const LastUse& last_use, const Locate& find,
+                            ThreadPool& pool,
                             std::optional<ReadAhead>& ahead) {
   ReadAhead& next = ahead.emplace();
   next.at = at;
   // The locate and the repository charge a read at the miss would make,
   // made now: only hits, which charge neither, come in between.
-  const Result<ContainerId> cid = locate(fp);
+  const Result<ContainerId> cid = find ? find(fp) : locate(fp);
   if (!cid.ok()) {
     next.status = cid.status();
     return;
@@ -213,7 +227,7 @@ void ChunkStore::read_ahead(const Fingerprint& fp, Cursor at,
 
 Result<storage::Container> ChunkStore::fetch_miss(
     const Fingerprint& fp, std::uint64_t pos, const LastUse& last_use,
-    std::optional<ReadAhead>& ahead) {
+    const Locate& find, std::optional<ReadAhead>& ahead) {
   storage::ChunkRepository::PendingRead read;
   if (ahead.has_value()) {
     if (!ahead->status.ok()) {
@@ -222,7 +236,7 @@ Result<storage::Container> ChunkStore::fetch_miss(
     if (ahead->read.held == nullptr) return ahead->fetched.get();
     read = std::move(ahead->read);
   } else {
-    const Result<ContainerId> cid = locate(fp);
+    const Result<ContainerId> cid = find ? find(fp) : locate(fp);
     if (!cid.ok()) return cid.error();
     Result<storage::ChunkRepository::PendingRead> charged =
         repository_->charge_read(cid.value());
@@ -344,39 +358,19 @@ Status ChunkStore::complete(storage::Container& c) const {
   return Status::Ok();
 }
 
-std::optional<std::vector<Byte>> ChunkStore::lpc_probe(const Fingerprint& fp) {
-  const std::optional<cache::LpcCache::Hit> hit = lpc_.lookup(fp);
-  if (!hit.has_value()) return std::nullopt;
-  storage::Container& c = *hit->container;
-  if (!c.loaded(hit->index) && !complete(c).ok()) return std::nullopt;
-  const ByteSpan chunk = c.chunk_at(hit->index);
-  return std::vector<Byte>(chunk.begin(), chunk.end());
-}
-
 Result<std::vector<Byte>> ChunkStore::read_chunk(const Fingerprint& fp) {
-  if (std::optional<std::vector<Byte>> hit = lpc_probe(fp)) {
-    return std::move(*hit);
+  const std::optional<cache::LpcCache::Hit> hit = lpc_.lookup(fp);
+  if (hit && (hit->container->loaded(hit->index) ||
+              complete(*hit->container).ok())) {
+    const ByteSpan chunk = hit->container->chunk_at(hit->index);
+    return std::vector<Byte>(chunk.begin(), chunk.end());
   }
-  Result<ContainerId> cid = locate(fp);
+  const Result<ContainerId> cid = locate(fp);
   if (!cid.ok()) return cid.error();
-  return read_chunk_at(fp, cid.value());
-}
-
-Result<std::vector<Byte>> ChunkStore::read_chunk_at(const Fingerprint& fp,
-                                                    ContainerId id) {
-  Result<storage::Container> container = containers_.read(id);
-  if (!container.ok()) return container.error();
-
-  auto shared =
-      std::make_shared<storage::Container>(std::move(container).value());
-  const std::optional<ByteSpan> chunk = shared->find(fp);
-  if (!chunk.has_value()) {
-    return Error{Errc::kCorrupt,
-                 "index maps fingerprint to a container that lacks it"};
-  }
-  std::vector<Byte> out(chunk->begin(), chunk->end());
-  lpc_.insert(std::move(shared));  // prefetch the whole container (LPC)
-  return out;
+  const Result<ByteSpan> chunk = cache_container(
+      fp, containers_.read(cid.value()), /*refill_spare=*/false);
+  if (!chunk.ok()) return chunk.error();
+  return std::vector<Byte>(chunk.value().begin(), chunk.value().end());
 }
 
 }  // namespace debar::core

@@ -9,8 +9,10 @@
 //                      <fingerprint, containerID> entries;
 //   restore()          planned restore of a recipe through the LPC, with
 //                      the container of the next miss read ahead and
-//                      only the chunks the recipe still needs read;
-//   read_chunk()       one chunk through the LPC, with container prefetch.
+//                      only the chunks the recipe still needs read, its
+//                      misses located here or by the caller's Locate;
+//   read_chunk()       one chunk through the LPC, its container read whole
+//                      on a miss (tests' per-chunk twin, verify jobs).
 //
 // A single-server dedup-2 is sil -> store -> add_pending -> (maybe) siu;
 // the Cluster interleaves routing exchanges between the same calls for
@@ -18,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -90,42 +93,30 @@ class ChunkStore : public IndexPart {
 
   // ---- Restore path ----
 
+  /// Where a restore finds the container of a chunk the LPC misses.
+  using Locate = std::function<Result<ContainerId>(const Fingerprint&)>;
+
   /// Planned restore (DESIGN.md §5o): pass every chunk of `files`, in
   /// recipe order, to `sink` as a span of the container the LPC caches.
+  /// A chunk whose size is not the one its record keeps stops the restore
+  /// with kCorrupt. Misses are located with `locate`, else with locate().
   /// Locates, repository charges, LPC hits and misses and every modeled
   /// clock come in the order a read_chunk() loop over the same recipe
   /// makes them, and the first error stops the restore as it would stop
-  /// that loop. From a persistent repository a miss reads its
-  /// container's header and metadata, then only the payloads of chunks
-  /// the recipe asks for at or after the miss; the model is still
-  /// charged for the whole container. With a multi-thread dedup-2 pool,
-  /// the container of the next LPC miss is located, charged and read on
-  /// the pool while the hits before it are served; at most one such read
-  /// is in flight, and it has finished when this returns.
+  /// that loop. From a persistent repository a miss reads its container's
+  /// header and metadata, then only the payloads of chunks the recipe asks
+  /// for at or after the miss; the model is still charged for the whole
+  /// container. With a multi-thread dedup-2 pool, the container of the
+  /// next LPC miss is located and charged on the caller and read on the
+  /// pool while the hits before it are served; at most one such read is
+  /// in flight, and it has finished when this returns.
   [[nodiscard]] Status restore(std::span<const FileRecord> files,
-                               RestoreSink& sink);
+                               RestoreSink& sink, const Locate& locate = {});
 
-  /// LPC-only probe: the chunk if its container is cached, else nullopt
-  /// with no device I/O. A cached container read in part is completed
-  /// first (one uncharged device read); if that read fails, nullopt, and
-  /// a caller that goes on to read the container reads it whole. Cluster
-  /// restores try this on the serving server before paying the
-  /// owner-side index lookup.
-  [[nodiscard]] std::optional<std::vector<Byte>> lpc_probe(
-      const Fingerprint& fp);
-
-  /// Read one chunk via LPC: hit serves from cache (lpc_probe()); miss
-  /// locates the container, reads it whole from the repository, and
-  /// prefetches it.
+  /// Read one chunk via the LPC. A hit completes a container read in part
+  /// first (if that fails, the chunk is read as on a miss); a miss locates
+  /// the container, reads it whole and prefetches it.
   [[nodiscard]] Result<std::vector<Byte>> read_chunk(const Fingerprint& fp);
-
-  /// Read a chunk from container `id` after an LPC miss: fetch the
-  /// container from the repository and prefetch it into the LPC. It does
-  /// not probe the LPC again, so a miss counts once (cluster restores
-  /// probe with lpc_probe(), route locate() to the index-part owner, then
-  /// read locally).
-  [[nodiscard]] Result<std::vector<Byte>> read_chunk_at(const Fingerprint& fp,
-                                                        ContainerId id);
 
   // ---- Introspection ----
 
@@ -163,16 +154,17 @@ class ChunkStore : public IndexPart {
   /// LPC does not hold, or nullopt.
   [[nodiscard]] std::optional<Cursor> next_miss(
       std::span<const FileRecord> files, Cursor from) const;
-  /// Locate and charge the container of the miss at `at`, and read what
-  /// the recipe needs of it into the spare frame on `pool`.
+  /// Locate (by `find` if set) and charge the container of the miss at `at`,
+  /// and read what the recipe needs of it into the spare frame on `pool`.
   void read_ahead(const Fingerprint& fp, Cursor at, const LastUse& last_use,
-                  ThreadPool& pool, std::optional<ReadAhead>& ahead);
+                  const Locate& find, ThreadPool& pool,
+                  std::optional<ReadAhead>& ahead);
   /// The container of the miss on `fp` at recipe position `pos`: the one
   /// `ahead` read for it, or the error `ahead` met, or, with no
   /// read-ahead, a locate and a read.
   [[nodiscard]] Result<storage::Container> fetch_miss(
       const Fingerprint& fp, std::uint64_t pos, const LastUse& last_use,
-      std::optional<ReadAhead>& ahead);
+      const Locate& find, std::optional<ReadAhead>& ahead);
   /// Read the container `read` charged into `buffer`: its header and
   /// metadata, then the payload runs of the chunks whose last use is at or
   /// after `pos`. Touches nothing but the repository's devices, so it
@@ -181,9 +173,9 @@ class ChunkStore : public IndexPart {
       const storage::ChunkRepository::PendingRead& read,
       storage::FrameBuffer buffer, const LastUse& last_use,
       std::uint64_t pos) const;
-  /// Cache the container fetched for a restore's miss on `fp` in the LPC
-  /// and return the chunk's span there. With `refill_spare`, a frame for
-  /// the next read-ahead is taken from the pool first.
+  /// Cache the container fetched for a miss on `fp` in the LPC and return
+  /// the chunk's span there. With `refill_spare`, a frame for the next
+  /// read-ahead is taken from the pool first.
   [[nodiscard]] Result<ByteSpan> cache_container(
       const Fingerprint& fp, Result<storage::Container> container,
       bool refill_spare);

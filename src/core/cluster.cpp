@@ -594,41 +594,49 @@ Status Cluster::drain(std::size_t slot) {
   return Status::Ok();
 }
 
-Result<std::vector<Byte>> Cluster::read_chunk(std::size_t via_server,
-                                              const Fingerprint& fp) {
-  assert(via_server < servers_.size());
-  const auto via_id = static_cast<net::EndpointId>(via_server);
-  return nodes_[via_server]->read_chunk_via(
-      fp, *client_endpoint_, [&](std::size_t holder, const Status& sent) {
-        if (!sent.ok() || !nodes_[holder]->answer(via_id).ok()) {
-          director_.mark_unreachable(holder);
-        }
-      });
+Status Cluster::restore(std::uint64_t job_id, std::uint32_t version,
+                        std::size_t via_server, RestoreSink& sink) {
+  const std::optional<JobVersionRecord> record =
+      director_.version(job_id, version);
+  if (!record.has_value()) {
+    return {Errc::kNotFound,
+            format("job {} version {} not recorded", job_id, version)};
+  }
+  return restore_via(record->files, via_server, sink);
 }
 
 Result<Dataset> Cluster::restore(std::uint64_t job_id, std::uint32_t version,
                                  std::size_t via_server) {
-  const std::optional<JobVersionRecord> record =
-      director_.version(job_id, version);
-  if (!record.has_value()) {
-    return Error{Errc::kNotFound,
-                 format("job {} version {} not recorded", job_id, version)};
-  }
   Dataset out;
-  for (const FileRecord& file : record->files) {
-    FileData data;
-    data.path = file.meta.path;
-    data.content.reserve(file.logical_bytes());
-    for (std::size_t i = 0; i < file.chunk_fps.size(); ++i) {
-      Result<std::vector<Byte>> chunk = read_chunk(via_server,
-                                                   file.chunk_fps[i]);
-      if (!chunk.ok()) return chunk.error();
-      data.content.insert(data.content.end(), chunk.value().begin(),
-                          chunk.value().end());
-    }
-    out.files.push_back(std::move(data));
+  DatasetSink collect(out);
+  if (Status s = restore(job_id, version, via_server, collect); !s.ok()) {
+    return Error{s.code(), s.message()};
   }
   return out;
+}
+
+Result<std::vector<Byte>> Cluster::read_chunk(std::size_t via_server,
+                                              const Fingerprint& fp) {
+  const FileRecord recipe{.chunk_fps = {fp}};
+  Dataset out;
+  DatasetSink collect(out);
+  if (Status s = restore_via({&recipe, 1}, via_server, collect); !s.ok()) {
+    return Error{s.code(), s.message()};
+  }
+  return std::move(out.files.front().content);
+}
+
+Status Cluster::restore_via(std::span<const FileRecord> files,
+                            std::size_t via, RestoreSink& sink) {
+  assert(via < servers_.size());
+  const auto via_id = static_cast<net::EndpointId>(via);
+  return nodes_[via]->restore(
+      files, *client_endpoint_, sink,
+      [&](std::size_t holder, const Status& sent) {
+        if (!sent.ok() || !nodes_[holder]->answer(via_id).ok()) {
+          director_.mark_unreachable(holder);
+        }
+      });
 }
 
 void Cluster::reset_clocks() {

@@ -21,11 +21,12 @@
 //                   when SIU is due or forced.
 //
 // Every server's share of each phase — its sends, receives, PSIL, chunk
-// storing and commit — is a core::ClusterNode (core/cluster_node.hpp),
-// the same code debar_clusterd runs one per process. Cluster is the
-// in-process coordinator: it owns the servers, their transport, the
-// director and the PartitionMap, runs each phase step on every node
-// concurrently, and decides at each barrier what only a global view can:
+// storing and commit — and every restore served through it is a
+// core::ClusterNode (core/cluster_node.hpp), the same code debar_clusterd
+// runs one per process. Cluster is the in-process coordinator: it owns
+// the servers, their transport, the director and the PartitionMap, runs
+// each phase step on every node concurrently, and decides at each barrier
+// what only a global view can:
 //
 //   * blame — which peers the failed exchanges point at;
 //   * phase-A failover — a partition whose serving copy went dark is
@@ -225,16 +226,19 @@ class Cluster {
   /// Drop staged maintenance images (failed prepare).
   void maintenance_abort();
 
-  /// Restore-path chunk read: locate on a copy of the part, read and cache
-  /// on the serving server. The holder's side of the locate is answered
-  /// inline on the caller's thread.
-  [[nodiscard]] Result<std::vector<Byte>> read_chunk(std::size_t via_server,
-                                                     const Fingerprint& fp);
+  /// Restore version `version` of `job_id` through `via_server` into
+  /// `sink` (ClusterNode::restore).
+  [[nodiscard]] Status restore(std::uint64_t job_id, std::uint32_t version,
+                               std::size_t via_server, RestoreSink& sink);
 
-  /// Restore a whole job version through `via_server`.
+  /// The same restore, collected into a Dataset held in memory.
   [[nodiscard]] Result<Dataset> restore(std::uint64_t job_id,
                                         std::uint32_t version,
                                         std::size_t via_server);
+
+  /// A restore of the one-chunk recipe {fp}, which keeps no size.
+  [[nodiscard]] Result<std::vector<Byte>> read_chunk(std::size_t via_server,
+                                                     const Fingerprint& fp);
 
   /// Reset every simulated clock (between measurement windows).
   void reset_clocks();
@@ -253,6 +257,10 @@ class Cluster {
   /// The in-process stand-in for a peer's serve loop: answer the request
   /// node `driver` just sent `peer` on the peer's behalf.
   [[nodiscard]] PeerRelay maintenance_relay(std::size_t driver);
+  /// Restore `files` through `via`, answering its locates inline and
+  /// marking a holder that cannot be reached or answer unreachable.
+  [[nodiscard]] Status restore_via(std::span<const FileRecord> files,
+                                   std::size_t via, RestoreSink& sink);
 
   // ---- Elastic repartitioning internals ----
   /// A migration only runs from a quiescent, fully-consistent cluster:

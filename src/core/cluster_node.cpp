@@ -77,6 +77,41 @@ bool acked(const net::Control& ack, std::uint32_t epoch) {
   return ack.op == net::Control::kMaintenanceAck && ack.arg == epoch;
 }
 
+/// Sends each chunk from the serving node to the client as one ChunkData
+/// frame and passes the bytes the client received on to `out`.
+class DeliverySink final : public RestoreSink {
+ public:
+  DeliverySink(net::Endpoint& via, net::Endpoint& client, RestoreSink& out,
+               std::chrono::nanoseconds timeout)
+      : via_(via), client_(client), out_(out), timeout_(timeout) {}
+
+  Status begin_file(const FileRecord& file) override {
+    fps_ = file.chunk_fps.data();
+    return out_.begin_file(file);
+  }
+
+  Status chunk(ByteSpan data) override {
+    const net::EndpointId to = client_.id();
+    if (via_.send(to, net::ChunkData{*fps_++, {data.begin(), data.end()}})
+            .ok()) {
+      const Result<net::ChunkData> got = client_.expect<net::ChunkData>(
+          via_.id(), net::Deadline::after(timeout_));
+      if (got.ok()) return out_.chunk(got.value().bytes);
+    }
+    return {Errc::kUnavailable,
+            format("restore delivery from server {} failed", via_.id())};
+  }
+
+  Status end_file() override { return out_.end_file(); }
+
+ private:
+  net::Endpoint& via_;
+  net::Endpoint& client_;
+  RestoreSink& out_;
+  std::chrono::nanoseconds timeout_;
+  const Fingerprint* fps_ = nullptr;
+};
+
 Status epoch_mismatch(std::size_t node, const char* what, std::size_t from,
                       std::uint32_t got, std::uint32_t want) {
   return {Errc::kInvalidArgument,
@@ -667,71 +702,40 @@ Result<ContainerId> ClusterNode::locate_hosted(const Fingerprint& fp) const {
   return copy->locate(fp);
 }
 
-Result<std::vector<Byte>> ClusterNode::read_chunk_via(
-    const Fingerprint& fp, net::Endpoint& client, const PeerRelay& relay) {
-  const auto via_id = static_cast<net::EndpointId>(config_.node);
-  net::Endpoint& ep = server_->endpoint();
-
-  // LPC first (Section 3.3): only a cache miss pays the owner-side index
-  // lookup and the container fetch.
-  std::vector<Byte> bytes;
-  if (std::optional<std::vector<Byte>> hit =
-          server_->chunk_store().lpc_probe(fp)) {
-    bytes = std::move(*hit);
-  } else {
-    // Failover order (DESIGN.md §5g): the partition's preferred copy
-    // first, then its backup. Either copy may be this node (then the
-    // lookup is local) or a peer (then it is a locate round trip with
-    // that peer); any failure — including a "not found" from a copy that
-    // may lag a catch-up the other one has — moves on to the other copy.
-    const auto locate_on = [&](std::size_t h) -> Result<ContainerId> {
-      if (h == config_.node) return locate_hosted(fp);
-      Result<net::ChunkLocateReply> got =
-          ask<net::ChunkLocateReply>(h, net::ChunkLocateRequest{fp}, relay);
-      if (!got.ok()) return got.error();
-      if (got.value().status != Errc::kOk) {
-        return Error{got.value().status,
-                     format("chunk not located on holder {}", h)};
-      }
-      return got.value().container;
-    };
+Status ClusterNode::restore(std::span<const FileRecord> files,
+                            net::Endpoint& client, RestoreSink& sink,
+                            const PeerRelay& relay) {
+  // Failover order (DESIGN.md §5g): the preferred copy, then the backup,
+  // each looked up locally when this node hosts it and with a round trip
+  // otherwise. Any failure (a "not found" from a copy that may lag a
+  // catch-up included) moves on to the other copy.
+  const ChunkStore::Locate locate = [&](const Fingerprint& fp) {
     const std::size_t owner = config_.map.owner_of(fp);
-    std::optional<ContainerId> container;
-    Error last_error{Errc::kUnavailable,
-                     format("no copy of part {} reachable", owner)};
-    for (std::size_t c = 0; c < config_.map.copy_count() && !container; ++c) {
-      Result<ContainerId> located =
-          locate_on(config_.map.copy(owner, c).server);
-      if (located.ok()) {
-        container = located.value();
+    Result<ContainerId> located = Error{
+        Errc::kUnavailable, format("no copy of part {} reachable", owner)};
+    for (std::size_t c = 0; c < config_.map.copy_count() && !located.ok();
+         ++c) {
+      const std::size_t h = config_.map.copy(owner, c).server;
+      if (h == config_.node) {
+        located = locate_hosted(fp);
+        continue;
+      }
+      const Result<net::ChunkLocateReply> got =
+          ask<net::ChunkLocateReply>(h, net::ChunkLocateRequest{fp}, relay);
+      if (!got.ok()) {
+        located = got.error();
+      } else if (got.value().status != Errc::kOk) {
+        located = Error{got.value().status,
+                        format("chunk not located on holder {}", h)};
       } else {
-        last_error = located.error();
+        located = got.value().container;
       }
     }
-    if (!container) return last_error;
-    Result<std::vector<Byte>> chunk =
-        server_->chunk_store().read_chunk_at(fp, *container);
-    if (!chunk.ok()) return chunk.error();
-    bytes = std::move(chunk.value());
-  }
-
-  // The restored bytes cross this server's wire to the client as a real
-  // ChunkData frame (and round-trip its serialization).
-  if (Status sent =
-          ep.send(client.id(), net::ChunkData{fp, std::move(bytes)});
-      !sent.ok()) {
-    return Error{Errc::kUnavailable,
-                 format("restore delivery from server {} failed",
-                        config_.node)};
-  }
-  Result<net::ChunkData> delivered =
-      client.expect<net::ChunkData>(via_id, barrier_deadline());
-  if (!delivered.ok()) {
-    return Error{Errc::kUnavailable,
-                 format("restore delivery from server {} lost",
-                        config_.node)};
-  }
-  return std::move(delivered.value().bytes);
+    return located;
+  };
+  DeliverySink deliver(server_->endpoint(), client, sink,
+                       config_.round_timeout);
+  return server_->chunk_store().restore(files, deliver, locate);
 }
 
 }  // namespace debar::core

@@ -3,7 +3,7 @@
 //
 // A ClusterNode performs node k's part of every exchange through its
 // endpoint: the five dedup-2 phases and the commit, both sides of a
-// restore locate, catch-up resync, and the holder side of the maintenance
+// restore, catch-up resync, and the holder side of the maintenance
 // MARK / INSTALL / COMMIT exchanges. Two drivers run it:
 //
 //   run_dedup2_round  the SPMD driver. Every node calls it concurrently
@@ -38,6 +38,7 @@
 #include "common/result.hpp"
 #include "core/backup_server.hpp"
 #include "core/partition_map.hpp"
+#include "core/restore_sink.hpp"
 #include "index/disk_index.hpp"
 #include "net/endpoint.hpp"
 #include "net/message.hpp"
@@ -170,13 +171,14 @@ class ClusterNode {
     return serve(via);
   }
 
-  /// The serving node's side of a restore chunk read: LPC probe, locate
-  /// (locally or through a copy holder, failing over to the other copy),
-  /// container read, and real ChunkData delivery to `client` (the
-  /// restore-stream endpoint, hosted in this process).
-  [[nodiscard]] Result<std::vector<Byte>> read_chunk_via(
-      const Fingerprint& fp, net::Endpoint& client,
-      const PeerRelay& relay = {});
+  /// Restore `files` through this node (DESIGN.md §5p): its
+  /// ChunkStore::restore, each LPC miss located on the partition's copies
+  /// in failover order, each chunk sent to `client` (the restore-stream
+  /// endpoint, hosted in this process) as one ChunkData frame, and `sink`
+  /// fed what `client` received; a lost delivery is kUnavailable.
+  [[nodiscard]] Status restore(std::span<const FileRecord> files,
+                               net::Endpoint& client, RestoreSink& sink,
+                               const PeerRelay& relay = {});
 
   // ---- Maintenance round (DESIGN.md §5k) ----
   //

@@ -28,4 +28,25 @@ class RestoreSink {
   [[nodiscard]] virtual Status end_file() = 0;
 };
 
+/// Collects a restore into a Dataset held in memory.
+class DatasetSink final : public RestoreSink {
+ public:
+  explicit DatasetSink(Dataset& out) : out_(out) {}
+  Status begin_file(const FileRecord& file) override {
+    FileData& data = out_.files.emplace_back();
+    data.path = file.meta.path;
+    data.content.reserve(file.logical_bytes());
+    return Status::Ok();
+  }
+  Status chunk(ByteSpan data) override {
+    std::vector<Byte>& content = out_.files.back().content;
+    content.insert(content.end(), data.begin(), data.end());
+    return Status::Ok();
+  }
+  Status end_file() override { return Status::Ok(); }
+
+ private:
+  Dataset& out_;
+};
+
 }  // namespace debar::core

@@ -213,6 +213,9 @@ Status SocketTransport::send(Frame&& frame) {
     peer = slot.get();
   }
 
+  // Charged before any byte leaves, as loopback charges before enqueuing:
+  // a peer acting on the frame must find the sender's NIC charged.
+  meter_.on_send(frame);
   std::lock_guard<std::mutex> peer_lock(peer->mutex);
   Status wrote = write_frame(*peer, address, frame);
   if (!wrote.ok()) {
@@ -225,9 +228,7 @@ Status SocketTransport::send(Frame&& frame) {
     // unreachable endpoint when a clean retransmission would land.
     wrote = write_frame(*peer, address, frame);
   }
-  if (!wrote.ok()) return wrote;
-  meter_.on_send(frame);
-  return Status::Ok();
+  return wrote;
 }
 
 std::optional<Frame> SocketTransport::receive(EndpointId to, EndpointId from,

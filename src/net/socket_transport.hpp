@@ -22,8 +22,8 @@
 //
 // receive(to, from, deadline) blocks on the inbox until a frame of that
 // stream arrives or the wall-clock deadline expires. Delivery metering
-// happens on the receiving side's meter; send metering on the sender's —
-// per process, each frame is charged exactly once per direction.
+// happens on the receiving side's meter; send metering on the sender's,
+// before the write, once per frame and direction (a failed send too).
 //
 // Caveat (documented contract): send() returning OK means the frame was
 // handed to the kernel's TCP stream, not that the peer consumed it. A

@@ -486,14 +486,20 @@ TEST(ClusterNodeEpochTest, TornMapsRejectEachOthersBatches) {
   net::Endpoint client(&transport, net::kClientEndpointId);
   Status served = Status::Ok();
   std::thread serve1([&] { served = node1.serve_restores(/*via=*/0); });
+  FileRecord recipe;
+  std::vector<Byte> expected;
   for (std::uint64_t i = 0; i < 60; ++i) {
-    Result<std::vector<Byte>> chunk = agreed0.read_chunk_via(fp(i), client);
-    if (!chunk.ok()) {
-      ADD_FAILURE() << "chunk " << i << ": " << chunk.error().to_string();
-      continue;
-    }
-    EXPECT_EQ(chunk.value(), BackupEngine::synthetic_payload(fp(i), 512));
+    recipe.chunk_fps.push_back(fp(i));
+    recipe.chunk_sizes.push_back(512);
+    const auto payload = BackupEngine::synthetic_payload(fp(i), 512);
+    expected.insert(expected.end(), payload.begin(), payload.end());
   }
+  Dataset restored;
+  DatasetSink collect(restored);
+  const Status rs = agreed0.restore(std::span(&recipe, 1), client, collect);
+  EXPECT_TRUE(rs.ok()) << rs.to_string();
+  ASSERT_EQ(restored.files.size(), 1u);
+  EXPECT_EQ(restored.files[0].content, expected);
   EXPECT_TRUE(s0.endpoint()
                   .send(1, net::Control{.op = net::Control::kShutdown})
                   .ok());

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "common/sha1.hpp"
@@ -156,6 +157,33 @@ struct TwoProcessRig {
     b.bind_address(0, *addr0);
   }
 };
+
+TEST(SocketTransportTest, ReceiverFindsTheSendAlreadyCharged) {
+  // A peer that acts on a frame may read the sender's modeled NIC (a
+  // dedup-2 round an ingest frame triggers reads ServerClocks). The send
+  // is charged before its bytes leave, so every frame the receiver holds
+  // is already on the sender's NIC, and under TSan the read is ordered
+  // after the charge through the socket.
+  TwoProcessRig rig;
+  constexpr std::uint32_t kFrames = 50;
+  std::thread sender([&] {
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+      EXPECT_TRUE(rig.a.send(make_frame(0, 1, i, i)).ok());
+    }
+  });
+  std::uint64_t received = 0;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    std::optional<Frame> got =
+        rig.b.receive(1, 0, Deadline::after(kTestDeadline));
+    if (!got.has_value()) {
+      ADD_FAILURE() << "frame " << i << " never arrived";
+      break;
+    }
+    received += got->bytes.size();
+    EXPECT_GE(rig.h.nic0.bytes_transferred(), received) << "frame " << i;
+  }
+  sender.join();
+}
 
 TEST(SocketTransportTest, DeliversFramesByteIdenticalAcrossProcesses) {
   TwoProcessRig rig;

@@ -334,13 +334,24 @@ TEST(PersistentRepositoryTest, LpcHitIssuesNoDeviceRead) {
                            return std::make_unique<MemBlockDevice>();
                          });
 
-  // A miss (probe, then fetch, as a cluster restore does) reads the
-  // container once and counts once.
-  EXPECT_FALSE(store.lpc_probe(Sha1::hash_counter(0)).has_value());
+  // The store's index names the container through its pending set.
+  std::vector<IndexEntry> entries;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    entries.push_back({Sha1::hash_counter(i), id});
+  }
+  store.add_pending(entries);
+
+  // A miss (LPC probe, locate, fetch) reads the container once and counts
+  // once; the probe itself reads nothing.
   EXPECT_EQ(probe->reads, 0u);
-  ASSERT_TRUE(store.read_chunk_at(Sha1::hash_counter(0), id).ok());
+  const Result<std::vector<Byte>> first =
+      store.read_chunk(Sha1::hash_counter(0));
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  EXPECT_EQ(first.value(),
+            core::BackupEngine::synthetic_payload(Sha1::hash_counter(0), 700));
   EXPECT_EQ(probe->reads, 1u);
   EXPECT_EQ(store.lpc().misses(), 1u);
+  EXPECT_EQ(store.lpc().hits(), 0u);
   for (std::uint64_t i = 1; i < 8; ++i) {
     const Result<std::vector<Byte>> chunk =
         store.read_chunk(Sha1::hash_counter(i));
