@@ -152,12 +152,13 @@ const unsigned kSizes[] = {32, 64, 128, 256, 512};
 //
 // Wall-clock scaling is meaningless on a small CI container, so the axis
 // reports modeled striped critical-path time: the bucket spans of one
-// SIL/SIU scan are split into `threads` contiguous shards — the exact
-// plan DiskIndex::bulk_lookup_sharded uses — and each shard's access
-// sequence is replayed on its own DiskModel arm. The phase finishes when
-// the slowest arm does, so reported seconds = max over arms. threads=1
-// reproduces the serial replay bit-for-bit (same spans, same accesses),
-// matching the byte-identity contract of the threaded implementation.
+// SIL/SIU scan are split into `threads` contiguous shards by the index's
+// own index::shard_plan — the plan DiskIndex::bulk_lookup runs — and each
+// shard's span accesses (index::span_geom) are replayed on its own
+// DiskModel arm. The phase finishes when the slowest arm does, so
+// reported seconds = max over arms. threads=1 reproduces the one-pass
+// replay bit-for-bit (same spans, same accesses), matching the
+// thread-count invariance of the index's modeled clock.
 // ---------------------------------------------------------------------------
 
 /// Modeled seconds for one full index scan striped over `threads` arms.
@@ -169,26 +170,19 @@ double striped_scan_seconds(unsigned index_gb, std::size_t threads,
   const std::uint64_t nb = params.bucket_count();
   const std::uint64_t bb = params.bucket_bytes();
   const std::uint64_t io = 1024;  // io_buckets used by measure()
-  const std::uint64_t spans = (nb + io - 1) / io;
-  const std::size_t shards =
-      std::min<std::size_t>(threads, static_cast<std::size_t>(spans));
   const std::uint64_t modeled_bytes = std::uint64_t{index_gb} * GiB;
 
   double worst = 0.0;
-  for (std::size_t shard = 0; shard < std::max<std::size_t>(shards, 1);
-       ++shard) {
-    const std::uint64_t first = spans * shard / shards;
-    const std::uint64_t end = spans * (shard + 1) / shards;
+  for (const index::ShardSpans& shard :
+       index::shard_plan(index::span_count(io, nb), threads)) {
     sim::SimClock clock;
     sim::DiskModel arm(
         sim::DiskProfile::PaperRaid().scaled_to(modeled_bytes, kActualBytes),
         &clock);
-    for (std::uint64_t s = first; s < end; ++s) {
-      const std::uint64_t a = s * io;
-      const std::uint64_t lo = a == 0 ? 0 : a - 1;
-      const std::uint64_t hi = std::min(nb, a + io + 1);
-      arm.access(lo * bb, (hi - lo) * bb);
-      if (rmw) arm.access(lo * bb, (hi - lo) * bb);
+    for (std::uint64_t s = shard.first; s < shard.end; ++s) {
+      const index::SpanGeom g = index::span_geom(s, io, nb);
+      arm.access(g.lo * bb, (g.hi - g.lo) * bb);
+      if (rmw) arm.access(g.lo * bb, (g.hi - g.lo) * bb);
     }
     worst = std::max(worst, clock.seconds());
   }
@@ -215,8 +209,8 @@ void print_thread_scaling(std::size_t max_threads) {
   }
   std::printf("(shards cap at the span count: %llu spans at io_buckets="
               "1024)\n",
-              static_cast<unsigned long long>(
-                  ((std::uint64_t{1} << kActualPrefixBits) + 1023) / 1024));
+              static_cast<unsigned long long>(index::span_count(
+                  1024, std::uint64_t{1} << kActualPrefixBits)));
 }
 
 void print_tables() {

@@ -118,114 +118,85 @@ Result<Dedup2Result> BackupServer::run_dedup2(bool force_siu) {
 
   // Process in index-cache-sized batches; the chunk log stays intact until
   // every batch has replayed it (later batches still need its records).
+  //
+  // Each batch runs SIL (itself sharded across the pool) on this thread,
+  // then the store step. At one thread the store step runs inline, so the
+  // batches go SIL, store, SIL, store. Otherwise it runs on a stage thread
+  // behind a bounded channel, and SIL for batch b+1 overlaps storing batch
+  // b. That is safe because take_undetermined() deduplicates, so no
+  // fingerprint appears in two batches: a batch's SIL outcome cannot
+  // depend on an in-flight store of an earlier batch — except through
+  // the checking set, which both stages access under its mutex and
+  // which only ever flips a duplicate verdict for fingerprints the
+  // earlier batch owns. The stages also drive disjoint modeled clocks
+  // (index vs log/repository), and the single store stage seals
+  // containers in batch order, so container IDs, metadata, and modeled
+  // seconds match the inline schedule exactly.
   const std::size_t batch_cap = config_.chunk_store.cache_params.capacity;
-  const std::size_t threads = config_.chunk_store.dedup2.resolved_threads();
-  if (threads <= 1) {
-    for (std::size_t pos = 0; pos < undetermined.size();) {
-      const std::size_t n = std::min(batch_cap, undetermined.size() - pos);
-      std::vector<Fingerprint> batch(undetermined.begin() + pos,
-                                     undetermined.begin() + pos + n);
-      pos += n;
-      ++result.sil_runs;
-
-      std::vector<std::uint8_t> found;
-      Result<SilResult> sil = chunk_store_->sil(batch, found);
-      if (!sil.ok()) return sil.error();
-      result.sil_seconds += sil.value().seconds;
-      result.duplicates +=
-          sil.value().found_on_disk + sil.value().found_pending;
-
-      std::vector<Fingerprint> new_fps;
-      new_fps.reserve(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (found[i] == 0) new_fps.push_back(batch[i]);
-      }
-
-      Result<StoreResult> stored = chunk_store_->store_new_chunks(new_fps);
-      if (!stored.ok()) return stored.error();
-      result.new_chunks += stored.value().new_chunks;
-      result.new_bytes += stored.value().new_bytes;
-      chunk_store_->add_pending(
-          std::span<const IndexEntry>(stored.value().entries));
+  const bool overlap = config_.chunk_store.dedup2.resolved_threads() > 1;
+  Status store_status = Status::Ok();
+  std::atomic<bool> store_failed{false};
+  const auto store = [&](const std::vector<Fingerprint>& new_fps) {
+    Result<StoreResult> stored = chunk_store_->store_new_chunks(new_fps);
+    if (!stored.ok()) {
+      store_status = stored.status();
+      store_failed.store(true, std::memory_order_release);
+      return;
     }
-  } else {
-    // Pipelined dedup-2: SIL for batch b+1 (itself sharded across the
-    // pool) overlaps chunk storing for batch b on a dedicated consumer
-    // thread. Safe because take_undetermined() deduplicates, so no
-    // fingerprint appears in two batches: a batch's SIL outcome cannot
-    // depend on an in-flight store of an earlier batch — except through
-    // the checking set, which both stages access under its mutex and
-    // which only ever flips a duplicate verdict for fingerprints the
-    // earlier batch owns. The stages also drive disjoint modeled clocks
-    // (index vs log/repository), and the single consumer seals containers
-    // in batch order, so container IDs, metadata, and modeled seconds all
-    // match the serial schedule exactly.
-    struct StoreJob {
-      std::vector<Fingerprint> new_fps;
-    };
-    Channel<StoreJob> jobs(
-        std::max<std::size_t>(config_.chunk_store.dedup2.pipeline_depth, 1));
-    struct StoreOutcome {
-      Status status = Status::Ok();
-      std::uint64_t new_chunks = 0;
-      std::uint64_t new_bytes = 0;
-    } outcome;
-    std::atomic<bool> store_failed{false};
-    std::thread store_stage([&] {
-      while (auto job = jobs.receive()) {
-        if (store_failed.load(std::memory_order_relaxed)) continue;  // drain
-        Result<StoreResult> stored =
-            chunk_store_->store_new_chunks(job->new_fps);
-        if (!stored.ok()) {
-          outcome.status = stored.status();
-          store_failed.store(true, std::memory_order_release);
-          continue;
-        }
-        outcome.new_chunks += stored.value().new_chunks;
-        outcome.new_bytes += stored.value().new_bytes;
-        chunk_store_->add_pending(
-            std::span<const IndexEntry>(stored.value().entries));
+    result.new_chunks += stored.value().new_chunks;
+    result.new_bytes += stored.value().new_bytes;
+    chunk_store_->add_pending(
+        std::span<const IndexEntry>(stored.value().entries));
+  };
+  Channel<std::vector<Fingerprint>> jobs(index::kPipelineDepth);
+  std::thread store_stage;
+  if (overlap) {
+    store_stage = std::thread([&] {
+      while (auto new_fps = jobs.receive()) {
+        // After a failure, drain without storing.
+        if (!store_failed.load(std::memory_order_relaxed)) store(*new_fps);
       }
     });
+  }
 
-    Status sil_status = Status::Ok();
-    for (std::size_t pos = 0; pos < undetermined.size();) {
-      if (store_failed.load(std::memory_order_acquire)) break;
-      const std::size_t n = std::min(batch_cap, undetermined.size() - pos);
-      std::vector<Fingerprint> batch(undetermined.begin() + pos,
-                                     undetermined.begin() + pos + n);
-      pos += n;
-      ++result.sil_runs;
+  Status sil_status = Status::Ok();
+  for (std::size_t pos = 0; pos < undetermined.size();) {
+    if (store_failed.load(std::memory_order_acquire)) break;
+    const std::size_t n = std::min(batch_cap, undetermined.size() - pos);
+    std::vector<Fingerprint> batch(undetermined.begin() + pos,
+                                   undetermined.begin() + pos + n);
+    pos += n;
+    ++result.sil_runs;
 
-      std::vector<std::uint8_t> found;
-      Result<SilResult> sil = chunk_store_->sil(batch, found);
-      if (!sil.ok()) {
-        sil_status = sil.status();
-        break;
-      }
-      result.sil_seconds += sil.value().seconds;
-      result.duplicates +=
-          sil.value().found_on_disk + sil.value().found_pending;
+    std::vector<std::uint8_t> found;
+    Result<SilResult> sil = chunk_store_->sil(batch, found);
+    if (!sil.ok()) {
+      sil_status = sil.status();
+      break;
+    }
+    result.sil_seconds += sil.value().seconds;
+    result.duplicates += sil.value().found_on_disk + sil.value().found_pending;
 
-      StoreJob job;
-      job.new_fps.reserve(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (found[i] == 0) job.new_fps.push_back(batch[i]);
-      }
-      jobs.send(std::move(job));
+    std::vector<Fingerprint> new_fps;
+    new_fps.reserve(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (found[i] == 0) new_fps.push_back(batch[i]);
     }
-    jobs.close();
-    store_stage.join();
-    // The store stage's failure takes precedence: in program order it
-    // belongs to an earlier batch than anything the producer saw.
-    if (!outcome.status.ok()) {
-      return Error{outcome.status.code(), outcome.status.message()};
+    if (overlap) {
+      jobs.send(std::move(new_fps));
+    } else {
+      store(new_fps);
     }
-    if (!sil_status.ok()) {
-      return Error{sil_status.code(), sil_status.message()};
-    }
-    result.new_chunks = outcome.new_chunks;
-    result.new_bytes = outcome.new_bytes;
+  }
+  jobs.close();
+  if (store_stage.joinable()) store_stage.join();
+  // The store stage's failure takes precedence: in program order it
+  // belongs to an earlier batch than anything the SIL loop saw.
+  if (!store_status.ok()) {
+    return Error{store_status.code(), store_status.message()};
+  }
+  if (!sil_status.ok()) {
+    return Error{sil_status.code(), sil_status.message()};
   }
   chunk_store_->clear_log();
   file_store_->commit_undetermined();

@@ -9,10 +9,6 @@
 
 namespace debar::core {
 
-index::ParallelIoOptions Dedup2Pool::io_options() {
-  return {workers(), plan_.resolved_threads(), plan_.pipeline_depth};
-}
-
 ThreadPool* Dedup2Pool::workers() {
   const std::size_t threads = plan_.resolved_threads();
   if (threads > 1) {
@@ -49,13 +45,13 @@ Result<SilResult> IndexPart::sil(const std::vector<Fingerprint>& sorted_fps,
   // Shard workers hit disjoint input indices (found[i] writes never
   // collide); only the counter needs to be atomic.
   std::atomic<std::uint64_t> found_on_disk{0};
-  Status s = index_.bulk_lookup_sharded(
+  Status s = index_.bulk_lookup(
       std::span<const Fingerprint>(sorted_fps),
       [&found, &found_on_disk](std::size_t i, ContainerId) {
         found[i] = 1;
         found_on_disk.fetch_add(1, std::memory_order_relaxed);
       },
-      io_buckets_, pool_->io_options());
+      io_buckets_, pool_->workers());
   if (!s.ok()) return Error{s.code(), s.message()};
   result.found_on_disk = found_on_disk.load();
   result.seconds = index_clock_seconds() - t0;
@@ -108,14 +104,13 @@ Result<SiuResult> IndexPart::siu() {
 
 Result<SiuResult> IndexPart::insert_sorted(std::vector<IndexEntry> entries) {
   SiuResult result;
-  const index::ParallelIoOptions par = pool_->io_options();
+  ThreadPool* workers = pool_->workers();
   const double t0 = index_clock_seconds();
   while (!entries.empty()) {
     std::uint64_t inserted = 0;
     std::vector<std::size_t> failed;
-    Status s = index_.bulk_insert_pipelined(
-        std::span<const IndexEntry>(entries), io_buckets_, par, &inserted,
-        &failed);
+    Status s = index_.bulk_insert(std::span<const IndexEntry>(entries),
+                                  io_buckets_, &inserted, &failed, workers);
     result.inserted += inserted;
     if (s.ok()) break;
     if (s.code() != Errc::kFull) return Error{s.code(), s.message()};

@@ -44,12 +44,9 @@ namespace debar::core {
 /// image, metadata, modeled seconds — are byte-identical for every value
 /// of `threads`; the knob only changes how many cores chase them.
 struct Dedup2Options {
-  /// Worker threads. 0 = one per hardware thread; 1 = today's serial
-  /// code paths, unchanged.
+  /// Worker threads. 0 = one per hardware thread; 1 = no pool: every
+  /// stage of SIL, store and SIU runs on the calling thread, in turn.
   std::size_t threads = 0;
-  /// Bounded look-ahead, in batches (SIL->store channel) and in io_buckets
-  /// spans (SIU prefetch/write-back), between pipeline stages.
-  std::size_t pipeline_depth = 4;
 
   [[nodiscard]] std::size_t resolved_threads() const noexcept {
     if (threads != 0) return threads;
@@ -60,13 +57,10 @@ struct Dedup2Options {
 
 /// The dedup-2 worker pool every index copy on one server shares. The
 /// pool starts on first use, and only when the plan resolves to more
-/// than one thread; without it the bulk scans run serially.
+/// than one thread; without it the bulk scans run on the caller.
 class Dedup2Pool {
  public:
   explicit Dedup2Pool(Dedup2Options plan) : plan_(plan) {}
-
-  /// The parallel-scan options for the plan. Thread-safe.
-  [[nodiscard]] index::ParallelIoOptions io_options();
 
   /// The pool's workers, started on first call; nullptr when the plan
   /// resolves to one thread. Thread-safe.

@@ -1,13 +1,13 @@
 #include "index/disk_index.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
+#include <chrono>
 #include <deque>
 #include <future>
-#include <thread>
+#include <iterator>
+#include <string_view>
 
-#include "common/channel.hpp"
 #include "common/fmt.hpp"
 #include "common/serial.hpp"
 #include "common/thread_pool.hpp"
@@ -17,28 +17,9 @@ namespace debar::index {
 
 namespace {
 
-/// Geometry of span s of a sequential scan: homes [a, home_end), read and
-/// written as [lo, hi) with the one-bucket overflow margins.
-struct SpanGeom {
-  std::uint64_t a = 0;
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  std::uint64_t home_end = 0;
-};
-
-SpanGeom span_geom(std::uint64_t span, std::uint64_t io_buckets,
-                   std::uint64_t bucket_count) {
-  SpanGeom g;
-  g.a = span * io_buckets;
-  g.lo = (g.a == 0) ? 0 : g.a - 1;
-  g.hi = std::min(bucket_count, g.a + io_buckets + 1);
-  g.home_end = std::min(bucket_count, g.a + io_buckets);
-  return g;
-}
-
-/// Detach the device's timing model for the duration of a parallel
-/// operation (SimClock/DiskModel are single-threaded); reattached on every
-/// exit path. The parallel paths then charge the model the serial access
+/// Detach the device's timing model for the duration of a bulk operation
+/// (SimClock/DiskModel are single-threaded); reattached on every exit
+/// path. The operation then charges the model the one-pass access
 /// sequence explicitly.
 class ModelDetachGuard {
  public:
@@ -56,6 +37,42 @@ class ModelDetachGuard {
   storage::BlockDevice& device_;
   sim::DiskModel* model_;
 };
+
+/// Run `fn` on a pool worker, or, without a pool, on the caller when its
+/// future is first waited on.
+template <typename Fn>
+auto launch(ThreadPool* pool, Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
+  if (pool != nullptr) return pool->submit(std::forward<Fn>(fn));
+  return std::async(std::launch::deferred, std::forward<Fn>(fn));
+}
+
+/// Wait for a task a pool runs; a deferred one is dropped unrun. Pool
+/// tasks use the index, so none may outlive the operation.
+template <typename T>
+void settle(std::future<T>& f) {
+  if (f.valid() &&
+      f.wait_for(std::chrono::seconds(0)) != std::future_status::deferred) {
+    f.wait();
+  }
+}
+
+/// The bulk operations' input check: fingerprints ascending, and the
+/// first home bucket not past the last (one routing prefix).
+template <typename T, typename FpOf>
+Status check_sorted(const DiskIndex& idx, std::span<const T> input,
+                    FpOf fp_of, std::string_view op) {
+  for (std::size_t i = 1; i < input.size(); ++i) {
+    if (fp_of(input[i]) < fp_of(input[i - 1])) {
+      return {Errc::kInvalidArgument, debar::format("{} input not sorted", op)};
+    }
+  }
+  if (!input.empty() &&
+      idx.bucket_of(fp_of(input.front())) > idx.bucket_of(fp_of(input.back()))) {
+    return {Errc::kInvalidArgument,
+            debar::format("{} input spans mixed routing prefixes", op)};
+  }
+  return Status::Ok();
+}
 
 /// Entries per 512-byte block and the block-local layout:
 ///   [u16 count][count * 25-byte entries][padding]
@@ -76,6 +93,31 @@ void serialize_block(std::span<const IndexEntry> entries,
 }
 
 }  // namespace
+
+SpanGeom span_geom(std::uint64_t span, std::uint64_t io_buckets,
+                   std::uint64_t bucket_count) noexcept {
+  SpanGeom g;
+  g.a = span * io_buckets;
+  g.lo = (g.a == 0) ? 0 : g.a - 1;
+  g.hi = std::min(bucket_count, g.a + io_buckets + 1);
+  g.home_end = std::min(bucket_count, g.a + io_buckets);
+  return g;
+}
+
+std::uint64_t span_count(std::uint64_t io_buckets,
+                         std::uint64_t bucket_count) noexcept {
+  return (bucket_count + io_buckets - 1) / io_buckets;
+}
+
+std::vector<ShardSpans> shard_plan(std::uint64_t spans, std::size_t workers) {
+  const std::uint64_t shards =
+      std::max<std::uint64_t>(std::min<std::uint64_t>(workers, spans), 1);
+  std::vector<ShardSpans> plan(shards);
+  for (std::uint64_t w = 0; w < shards; ++w) {
+    plan[w] = {spans * w / shards, spans * (w + 1) / shards};
+  }
+  return plan;
+}
 
 Result<DiskIndex> DiskIndex::create(
     std::unique_ptr<storage::BlockDevice> device, DiskIndexParams params) {
@@ -210,10 +252,10 @@ Result<ContainerId> DiskIndex::lookup(const Fingerprint& fp) const {
   if (!rb.ok()) return rb.error();
   if (auto id = rb.value().find(fp)) return *id;
 
-  // The entry may have overflowed next door. (With bulk_erase in the
-  // picture a non-full home no longer proves absence — an erase can
-  // leave a previously-overflowed entry stranded in a neighbour — so
-  // misses always pay the neighbour reads.)
+  // The entry may have overflowed next door. A miss reads both
+  // neighbours even when the home bucket has room, so every miss costs
+  // the same three random reads; the Venti-style baseline's modeled
+  // lookup cost is charged this way.
   for (const std::uint64_t nb : {home - 1, home + 1}) {
     if (nb >= params_.bucket_count()) continue;  // edge bucket
     Result<Bucket> rn = read_bucket(nb);
@@ -228,8 +270,8 @@ Status DiskIndex::insert(const Fingerprint& fp, ContainerId id) {
   Result<Bucket> rb = read_bucket(home);
   if (!rb.ok()) return rb.status();
   Bucket& b = rb.value();
-  // Duplicate check covers the neighbourhood: a stranded overflow copy
-  // (possible after bulk_erase) must not be silently duplicated.
+  // The duplicate check covers the whole neighbourhood, where an earlier
+  // overflow may have put the entry.
   const bool left_first = (rng_() & 1) != 0;
   const std::uint64_t order[2] = {left_first ? home - 1 : home + 1,
                                   left_first ? home + 1 : home - 1};
@@ -288,7 +330,7 @@ Status DiskIndex::match_fingerprints_in_span(
       on_found(qi, *id);
     } else {
       // Neighbour buckets are already in memory: checking them
-      // unconditionally costs nothing and stays correct after erases.
+      // unconditionally costs nothing.
       for (const std::uint64_t n : {home - 1, home + 1}) {
         if (n >= nb) continue;
         if (auto id = span_buckets[n - lo].find(fingerprints[qi])) {
@@ -305,109 +347,47 @@ Status DiskIndex::match_fingerprints_in_span(
 Status DiskIndex::bulk_lookup(
     std::span<const Fingerprint> fingerprints,
     const std::function<void(std::size_t, ContainerId)>& on_found,
-    std::uint64_t io_buckets) const {
+    std::uint64_t io_buckets, ThreadPool* pool) const {
   const std::uint64_t nb = params_.bucket_count();
   io_buckets = std::max<std::uint64_t>(io_buckets, 3);
-
-  // Validate sorted input (bucket numbers must be non-decreasing, which is
-  // what the streaming merge below relies on).
-  for (std::size_t i = 1; i < fingerprints.size(); ++i) {
-    if (fingerprints[i] < fingerprints[i - 1]) {
-      return {Errc::kInvalidArgument, "bulk_lookup input not sorted"};
-    }
-  }
-  if (!fingerprints.empty() &&
-      bucket_of(fingerprints.front()) > bucket_of(fingerprints.back())) {
-    return {Errc::kInvalidArgument,
-            "bulk_lookup input spans mixed routing prefixes"};
-  }
-
-  std::size_t qi = 0;
-  std::vector<Bucket> span_buckets;
-  // Stream the entire index in io_buckets-sized reads, each extended one
-  // bucket on both sides so overflow neighbours are always in memory.
-  for (std::uint64_t a = 0; a < nb; a += io_buckets) {
-    const std::uint64_t lo = (a == 0) ? 0 : a - 1;
-    const std::uint64_t hi = std::min(nb, a + io_buckets + 1);
-    if (Status s = read_bucket_range(lo, hi - lo, span_buckets); !s.ok()) {
-      return s;
-    }
-    const std::uint64_t home_end = std::min(nb, a + io_buckets);
-    if (Status s = match_fingerprints_in_span(fingerprints, span_buckets, lo,
-                                              a, home_end, qi, on_found);
-        !s.ok()) {
-      return s;
-    }
-  }
-  return Status::Ok();
-}
-
-Status DiskIndex::bulk_lookup_sharded(
-    std::span<const Fingerprint> fingerprints,
-    const std::function<void(std::size_t, ContainerId)>& on_found,
-    std::uint64_t io_buckets, const ParallelIoOptions& par) const {
-  const std::uint64_t nb = params_.bucket_count();
-  io_buckets = std::max<std::uint64_t>(io_buckets, 3);
-  const std::uint64_t spans = (nb + io_buckets - 1) / io_buckets;
-  const std::size_t shards =
-      std::min<std::size_t>(par.parallel() ? par.workers : 1, spans);
-  if (shards < 2) return bulk_lookup(fingerprints, on_found, io_buckets);
-
-  for (std::size_t i = 1; i < fingerprints.size(); ++i) {
-    if (fingerprints[i] < fingerprints[i - 1]) {
-      return {Errc::kInvalidArgument, "bulk_lookup input not sorted"};
-    }
-  }
-  if (!fingerprints.empty() &&
-      bucket_of(fingerprints.front()) > bucket_of(fingerprints.back())) {
-    return {Errc::kInvalidArgument,
-            "bulk_lookup input spans mixed routing prefixes"};
+  if (Status s = check_sorted(
+          *this, fingerprints,
+          [](const Fingerprint& fp) -> const Fingerprint& { return fp; },
+          "bulk_lookup");
+      !s.ok()) {
+    return s;
   }
 
   // Each shard owns a contiguous, span-aligned bucket range and the
   // (contiguous, because the input is sorted) slice of fingerprints homed
   // there. Shards only ever read, and read margins overlapping a
   // neighbouring shard are harmless, so no synchronization is needed
-  // beyond the final join. The device runs unmetered while shards race;
-  // the serial access pattern is replayed below so modeled time — and the
-  // fault injector's op count — stay identical to the serial scan.
-  struct Shard {
-    std::uint64_t first_span = 0;
-    std::uint64_t end_span = 0;
-    std::size_t fp_begin = 0;
-    std::size_t fp_end = 0;
+  // beyond the final join. One shard runs on the caller.
+  const std::vector<ShardSpans> plan = shard_plan(
+      span_count(io_buckets, nb), pool == nullptr ? 1 : pool->size());
+  if (plan.size() < 2) pool = nullptr;
+  const auto at_or_after = [&](std::uint64_t bucket) {
+    return static_cast<std::size_t>(std::distance(
+        fingerprints.begin(),
+        std::partition_point(
+            fingerprints.begin(), fingerprints.end(),
+            [&](const Fingerprint& fp) { return bucket_of(fp) < bucket; })));
   };
-  std::vector<Shard> plan(shards);
-  for (std::size_t w = 0; w < shards; ++w) {
-    plan[w].first_span = spans * w / shards;
-    plan[w].end_span = spans * (w + 1) / shards;
-    const std::uint64_t home_begin = plan[w].first_span * io_buckets;
-    const std::uint64_t home_end =
-        std::min(nb, plan[w].end_span * io_buckets);
-    const auto at_or_after = [&](std::uint64_t bucket) {
-      return static_cast<std::size_t>(std::distance(
-          fingerprints.begin(),
-          std::partition_point(fingerprints.begin(), fingerprints.end(),
-                               [&](const Fingerprint& fp) {
-                                 return bucket_of(fp) < bucket;
-                               })));
-    };
-    plan[w].fp_begin = at_or_after(home_begin);
-    plan[w].fp_end = at_or_after(home_end);
-  }
 
   ModelDetachGuard metering(*device_);
   std::vector<std::future<Status>> pending;
-  pending.reserve(shards);
-  for (const Shard& shard : plan) {
-    pending.push_back(par.pool->submit([this, shard, fingerprints, &on_found,
-                                        io_buckets, nb]() -> Status {
+  pending.reserve(plan.size());
+  for (const ShardSpans& shard : plan) {
+    // fp indices stay global: the shard walks the input from the first
+    // fingerprint of its slice to the end of the slice.
+    const std::size_t fp_begin = at_or_after(shard.first * io_buckets);
+    const auto slice =
+        fingerprints.first(at_or_after(std::min(nb, shard.end * io_buckets)));
+    pending.push_back(launch(pool, [this, shard, slice, fp_begin, &on_found,
+                                    io_buckets, nb]() -> Status {
       std::vector<Bucket> span_buckets;
-      std::size_t qi = shard.fp_begin;
-      // fp indices stay global: the worker walks the full input span but
-      // clamps its cursor to [fp_begin, fp_end).
-      const auto slice = fingerprints.first(shard.fp_end);
-      for (std::uint64_t s = shard.first_span; s < shard.end_span; ++s) {
+      std::size_t qi = fp_begin;
+      for (std::uint64_t s = shard.first; s < shard.end; ++s) {
         const SpanGeom g = span_geom(s, io_buckets, nb);
         if (Status st = read_bucket_range(g.lo, g.hi - g.lo, span_buckets);
             !st.ok()) {
@@ -429,59 +409,6 @@ Status DiskIndex::bulk_lookup_sharded(
   }
   if (!overall.ok()) return overall;
   replay_serial_scan_metering(metering.model(), io_buckets, /*rmw=*/false);
-  return Status::Ok();
-}
-
-Status DiskIndex::bulk_insert(std::span<const IndexEntry> entries,
-                              std::uint64_t io_buckets,
-                              std::uint64_t* inserted,
-                              std::vector<std::size_t>* failed) {
-  const std::uint64_t nb = params_.bucket_count();
-  io_buckets = std::max<std::uint64_t>(io_buckets, 3);
-  if (inserted != nullptr) *inserted = 0;
-  if (failed != nullptr) failed->clear();
-
-  for (std::size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i].fp < entries[i - 1].fp) {
-      return {Errc::kInvalidArgument, "bulk_insert input not sorted"};
-    }
-  }
-  if (!entries.empty() &&
-      bucket_of(entries.front().fp) > bucket_of(entries.back().fp)) {
-    return {Errc::kInvalidArgument,
-            "bulk_insert input spans mixed routing prefixes"};
-  }
-
-  bool overflow_failure = false;
-  std::size_t qi = 0;
-  std::vector<Bucket> span_buckets;
-  // One read-modify-write pass over the whole index. Each span carries a
-  // one-bucket margin so every possible overflow target is in memory; the
-  // margins are written back too, and the next span re-reads the updated
-  // margin bucket, so cross-span overflow composes correctly.
-  for (std::uint64_t a = 0; a < nb; a += io_buckets) {
-    const std::uint64_t lo = (a == 0) ? 0 : a - 1;
-    const std::uint64_t hi = std::min(nb, a + io_buckets + 1);
-    if (Status s = read_bucket_range(lo, hi - lo, span_buckets); !s.ok()) {
-      return s;
-    }
-    const std::uint64_t home_end = std::min(nb, a + io_buckets);
-    if (Status s =
-            place_entries_in_span(entries, span_buckets, lo, a, home_end, qi,
-                                  overflow_failure, inserted, failed);
-        !s.ok()) {
-      return s;
-    }
-    if (Status s = write_bucket_range(
-            lo, std::span<const Bucket>(span_buckets.data(), hi - lo));
-        !s.ok()) {
-      return s;
-    }
-  }
-  if (overflow_failure) {
-    return {Errc::kFull,
-            "one or more bucket neighbourhoods full; capacity scaling needed"};
-  }
   return Status::Ok();
 }
 
@@ -546,166 +473,100 @@ void DiskIndex::replay_serial_scan_metering(sim::DiskModel* model,
   if (model == nullptr) return;
   const std::uint64_t nb = params_.bucket_count();
   const std::uint64_t bb = params_.bucket_bytes();
-  for (std::uint64_t a = 0; a < nb; a += io_buckets) {
-    const std::uint64_t lo = (a == 0) ? 0 : a - 1;
-    const std::uint64_t hi = std::min(nb, a + io_buckets + 1);
-    model->access(lo * bb, (hi - lo) * bb);
-    if (rmw) model->access(lo * bb, (hi - lo) * bb);
+  for (std::uint64_t s = 0; s < span_count(io_buckets, nb); ++s) {
+    const SpanGeom g = span_geom(s, io_buckets, nb);
+    model->access(g.lo * bb, (g.hi - g.lo) * bb);
+    if (rmw) model->access(g.lo * bb, (g.hi - g.lo) * bb);
   }
 }
 
-Status DiskIndex::bulk_insert_pipelined(std::span<const IndexEntry> entries,
-                                        std::uint64_t io_buckets,
-                                        const ParallelIoOptions& par,
-                                        std::uint64_t* inserted,
-                                        std::vector<std::size_t>* failed) {
+Status DiskIndex::bulk_insert(std::span<const IndexEntry> entries,
+                              std::uint64_t io_buckets,
+                              std::uint64_t* inserted,
+                              std::vector<std::size_t>* failed,
+                              ThreadPool* pool) {
   const std::uint64_t nb = params_.bucket_count();
   io_buckets = std::max<std::uint64_t>(io_buckets, 3);
-  const std::uint64_t spans = (nb + io_buckets - 1) / io_buckets;
-  if (!par.parallel() || spans < 3) {
-    return bulk_insert(entries, io_buckets, inserted, failed);
-  }
   if (inserted != nullptr) *inserted = 0;
   if (failed != nullptr) failed->clear();
-
-  for (std::size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i].fp < entries[i - 1].fp) {
-      return {Errc::kInvalidArgument, "bulk_insert input not sorted"};
-    }
-  }
-  if (!entries.empty() &&
-      bucket_of(entries.front().fp) > bucket_of(entries.back().fp)) {
-    return {Errc::kInvalidArgument,
-            "bulk_insert input spans mixed routing prefixes"};
+  if (Status s = check_sorted(
+          *this, entries,
+          [](const IndexEntry& e) -> const Fingerprint& { return e.fp; },
+          "bulk_insert");
+      !s.ok()) {
+    return s;
   }
 
-  // Three stages: pool workers prefetch+parse upcoming spans, this thread
-  // merges entries span-by-span in exact serial order (it is the only
-  // thread touching rng_/entry_count_, so the RNG draw sequence and every
-  // tie-break match the serial pass), and a writer thread streams mutated
-  // spans back out. The serial pass re-reads the margin buckets it just
-  // wrote (spans overlap by two buckets); here those buckets are carried
-  // forward in memory instead — serialize/parse round-trips losslessly, so
-  // the carried image equals what a re-read would return, and prefetch
-  // workers never read a bucket the merge stage still has to write.
-  ModelDetachGuard metering(*device_);
-
+  // Consecutive spans overlap by two buckets (a-1 and a of the later
+  // one), so every span after the first gets those two from the merge
+  // stage, which carries them over in memory, and the span before leaves
+  // them for it to write. Prefetch therefore reads only [a+1, hi), never
+  // a bucket a write-back still has to land. With a pool, prefetch runs
+  // up to kPipelineDepth spans ahead on the workers; without one, each
+  // span is read when the merge reaches it. Either way this thread writes
+  // each span back after merging it, so without a pool a span is read,
+  // merged and written before the next is read, as in a one-pass scan.
   struct Prefetched {
     Status status = Status::Ok();
     std::vector<Bucket> buckets;
   };
-  struct WriteJob {
-    std::uint64_t lo = 0;
-    std::vector<Bucket> buckets;
-  };
-  const std::size_t depth = std::max<std::size_t>(par.pipeline_depth, 1);
-
-  Channel<WriteJob> write_ch(depth);
-  Status writer_status = Status::Ok();
-  std::atomic<bool> writer_failed{false};
-  std::thread writer([&] {
-    while (auto job = write_ch.receive()) {
-      if (writer_failed.load(std::memory_order_relaxed)) continue;  // drain
-      if (Status st = write_bucket_range(
-              job->lo, std::span<const Bucket>(job->buckets));
-          !st.ok()) {
-        writer_status = st;
-        writer_failed.store(true, std::memory_order_release);
-      }
-    }
-  });
-
+  const std::uint64_t spans = span_count(io_buckets, nb);
+  ModelDetachGuard metering(*device_);
   std::deque<std::future<Prefetched>> prefetch;
-  const auto submit_prefetch = [&](std::uint64_t s) {
+  struct Settle {
+    std::deque<std::future<Prefetched>>& prefetch;
+    ~Settle() {
+      for (std::future<Prefetched>& f : prefetch) settle(f);
+    }
+  } settle_on_exit{prefetch};
+
+  const auto prefetch_span = [&](std::uint64_t s) {
     const SpanGeom g = span_geom(s, io_buckets, nb);
-    // Spans after the first skip buckets a-1 and a: the merge stage owns
-    // their freshest image (the carry), and reading them here would race
-    // with the writer flushing the previous span.
     const std::uint64_t first = (s == 0) ? g.lo : g.a + 1;
-    prefetch.push_back(
-        par.pool->submit([this, first, last = g.hi]() -> Prefetched {
-          Prefetched p;
-          if (first < last) {
-            p.status = read_bucket_range(first, last - first, p.buckets);
-          }
-          return p;
-        }));
+    prefetch.push_back(launch(pool, [this, first, last = g.hi] {
+      Prefetched p;
+      if (first < last) {
+        p.status = read_bucket_range(first, last - first, p.buckets);
+      }
+      return p;
+    }));
   };
-
-  // RAII teardown in reverse order: drain prefetch futures first (their
-  // tasks touch the device and must not outlive this call), then close the
-  // channel and join the writer, then reattach the model.
-  struct WriterJoin {
-    Channel<WriteJob>& ch;
-    std::thread& t;
-    ~WriterJoin() {
-      ch.close();
-      if (t.joinable()) t.join();
-    }
-  } writer_join{write_ch, writer};
-  struct PrefetchDrain {
-    std::deque<std::future<Prefetched>>& q;
-    ~PrefetchDrain() {
-      for (auto& f : q) f.wait();
-    }
-  } prefetch_drain{prefetch};
-
-  for (std::uint64_t s = 0; s < std::min<std::uint64_t>(spans, depth); ++s) {
-    submit_prefetch(s);
+  for (std::uint64_t s = 0; s < std::min<std::uint64_t>(spans, kPipelineDepth);
+       ++s) {
+    prefetch_span(s);
   }
 
   bool overflow_failure = false;
-  bool writer_aborted = false;
   std::size_t qi = 0;
-  Bucket carry_low;   // bucket a-1 of the next span
-  Bucket carry_high;  // bucket a of the next span
-  Status overall = Status::Ok();
+  std::vector<Bucket> carry;  // buckets a-1 and a of the next span
   for (std::uint64_t s = 0; s < spans; ++s) {
     Prefetched p = prefetch.front().get();
     prefetch.pop_front();
-    if (s + depth < spans) submit_prefetch(s + depth);
-    if (!p.status.ok()) {
-      overall = p.status;
-      break;
-    }
+    if (s + kPipelineDepth < spans) prefetch_span(s + kPipelineDepth);
+    if (!p.status.ok()) return p.status;
     const SpanGeom g = span_geom(s, io_buckets, nb);
-    std::vector<Bucket> span_buckets;
+    std::vector<Bucket> span_buckets = std::move(carry);
     span_buckets.reserve(g.hi - g.lo);
-    if (s > 0) {
-      span_buckets.push_back(std::move(carry_low));
-      span_buckets.push_back(std::move(carry_high));
-    }
-    for (Bucket& b : p.buckets) span_buckets.push_back(std::move(b));
+    std::move(p.buckets.begin(), p.buckets.end(),
+              std::back_inserter(span_buckets));
     assert(span_buckets.size() == g.hi - g.lo);
     if (Status st =
             place_entries_in_span(entries, span_buckets, g.lo, g.a,
                                   g.home_end, qi, overflow_failure, inserted,
                                   failed);
         !st.ok()) {
-      overall = st;
-      break;
+      return st;
     }
+    carry.clear();
     if (s + 1 < spans) {
-      // Next span's margin+first buckets are a+io-1 and a+io — the last
-      // two elements of this (interior) span. Copy before the move below.
-      carry_low = span_buckets[g.a + io_buckets - 1 - g.lo];
-      carry_high = span_buckets[g.a + io_buckets - g.lo];
+      carry.assign(std::make_move_iterator(span_buckets.end() - 2),
+                   std::make_move_iterator(span_buckets.end()));
+      span_buckets.resize(span_buckets.size() - 2);
     }
-    if (writer_failed.load(std::memory_order_acquire)) {
-      writer_aborted = true;
-      break;
+    if (Status st = write_bucket_range(g.lo, span_buckets); !st.ok()) {
+      return st;
     }
-    write_ch.send(WriteJob{g.lo, std::move(span_buckets)});
   }
-
-  for (auto& f : prefetch) f.wait();
-  prefetch.clear();
-  write_ch.close();
-  if (writer.joinable()) writer.join();
-  if (overall.ok() && (writer_aborted || !writer_status.ok())) {
-    overall = writer_status;
-  }
-  if (!overall.ok()) return overall;
 
   replay_serial_scan_metering(metering.model(), io_buckets, /*rmw=*/true);
   if (overflow_failure) {
@@ -715,143 +576,9 @@ Status DiskIndex::bulk_insert_pipelined(std::span<const IndexEntry> entries,
   return Status::Ok();
 }
 
-Status DiskIndex::bulk_erase(std::span<const Fingerprint> fingerprints,
-                             std::uint64_t io_buckets, std::uint64_t* erased) {
-  const std::uint64_t nb = params_.bucket_count();
-  io_buckets = std::max<std::uint64_t>(io_buckets, 3);
-  if (erased != nullptr) *erased = 0;
-
-  for (std::size_t i = 1; i < fingerprints.size(); ++i) {
-    if (fingerprints[i] < fingerprints[i - 1]) {
-      return {Errc::kInvalidArgument, "bulk_erase input not sorted"};
-    }
-  }
-
-  std::size_t qi = 0;
-  std::vector<Bucket> span_buckets;
-  for (std::uint64_t a = 0; a < nb; a += io_buckets) {
-    const std::uint64_t lo = (a == 0) ? 0 : a - 1;
-    const std::uint64_t hi = std::min(nb, a + io_buckets + 1);
-    if (Status s = read_bucket_range(lo, hi - lo, span_buckets); !s.ok()) {
-      return s;
-    }
-    const std::uint64_t home_end = std::min(nb, a + io_buckets);
-    while (qi < fingerprints.size()) {
-      const Fingerprint& fp = fingerprints[qi];
-      const std::uint64_t home = bucket_of(fp);
-      if (home >= home_end) break;
-      if (home < a) {
-        return {Errc::kInvalidArgument,
-                "bulk_erase bucket order regressed (mixed routing prefixes?)"};
-      }
-      for (const std::uint64_t b : {home, home - 1, home + 1}) {
-        if (b >= nb) continue;
-        auto& entries = span_buckets[b - lo].entries;
-        const auto it = std::find_if(
-            entries.begin(), entries.end(),
-            [&](const IndexEntry& e) { return e.fp == fp; });
-        if (it != entries.end()) {
-          entries.erase(it);
-          --entry_count_;
-          if (erased != nullptr) ++(*erased);
-          break;
-        }
-      }
-      ++qi;
-    }
-    if (Status s = write_bucket_range(
-            lo, std::span<const Bucket>(span_buckets.data(), hi - lo));
-        !s.ok()) {
-      return s;
-    }
-  }
-  return Status::Ok();
-}
-
-Status DiskIndex::bulk_update(std::span<const IndexEntry> entries,
-                              std::uint64_t io_buckets,
-                              std::uint64_t* missing) {
-  const std::uint64_t nb = params_.bucket_count();
-  io_buckets = std::max<std::uint64_t>(io_buckets, 3);
-  if (missing != nullptr) *missing = 0;
-
-  for (std::size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i].fp < entries[i - 1].fp) {
-      return {Errc::kInvalidArgument, "bulk_update input not sorted"};
-    }
-  }
-
-  std::size_t qi = 0;
-  std::vector<Bucket> span_buckets;
-  for (std::uint64_t a = 0; a < nb; a += io_buckets) {
-    const std::uint64_t lo = (a == 0) ? 0 : a - 1;
-    const std::uint64_t hi = std::min(nb, a + io_buckets + 1);
-    if (Status s = read_bucket_range(lo, hi - lo, span_buckets); !s.ok()) {
-      return s;
-    }
-    const std::uint64_t home_end = std::min(nb, a + io_buckets);
-    while (qi < entries.size()) {
-      const IndexEntry& e = entries[qi];
-      const std::uint64_t home = bucket_of(e.fp);
-      if (home >= home_end) break;
-      if (home < a) {
-        return {Errc::kInvalidArgument,
-                "bulk_update bucket order regressed (mixed routing prefixes?)"};
-      }
-      // The entry lives in its home bucket or in a neighbour it
-      // overflowed to (or was stranded in by a later erase).
-      bool updated = false;
-      for (const std::uint64_t b : {home, home - 1, home + 1}) {
-        if (b >= nb) continue;
-        for (IndexEntry& slot : span_buckets[b - lo].entries) {
-          if (slot.fp == e.fp) {
-            slot.container = e.container;
-            updated = true;
-            break;
-          }
-        }
-        if (updated) break;
-      }
-      if (!updated && missing != nullptr) ++(*missing);
-      ++qi;
-    }
-    if (Status s = write_bucket_range(
-            lo, std::span<const Bucket>(span_buckets.data(), hi - lo));
-        !s.ok()) {
-      return s;
-    }
-  }
-  return Status::Ok();
-}
-
-namespace {
-
-/// Stream every entry out of an index in ascending-fingerprint order.
-/// (Entries within a bucket are unordered and overflow displaces entries
-/// by one bucket, so a final sort is required regardless.)
-Result<std::vector<IndexEntry>> collect_entries(const DiskIndex& idx,
-                                                std::uint64_t io_buckets) {
-  std::vector<IndexEntry> all;
-  all.reserve(idx.entry_count());
-  const std::uint64_t nb = idx.params().bucket_count();
-  for (std::uint64_t a = 0; a < nb; a += io_buckets) {
-    const std::uint64_t count = std::min(io_buckets, nb - a);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      Result<Bucket> rb = idx.read_bucket(a + i);
-      if (!rb.ok()) return rb.error();
-      for (const IndexEntry& e : rb.value().entries) all.push_back(e);
-    }
-  }
-  std::sort(all.begin(), all.end(),
-            [](const IndexEntry& x, const IndexEntry& y) { return x.fp < y.fp; });
-  return all;
-}
-
-}  // namespace
-
 Result<DiskIndex> DiskIndex::scaled(
     std::unique_ptr<storage::BlockDevice> new_device) const {
-  Result<std::vector<IndexEntry>> entries = collect_entries(*this, 1024);
+  Result<std::vector<IndexEntry>> entries = extract_sorted_entries(*this);
   if (!entries.ok()) return entries.error();
 
   DiskIndexParams p = params_;
@@ -883,7 +610,7 @@ Result<std::vector<DiskIndex>> DiskIndex::split(
                  "cannot split into more parts than buckets"};
   }
 
-  Result<std::vector<IndexEntry>> entries = collect_entries(*this, 1024);
+  Result<std::vector<IndexEntry>> entries = extract_sorted_entries(*this);
   if (!entries.ok()) return entries.error();
 
   DiskIndexParams p = params_;

@@ -18,6 +18,7 @@
 // the insert reports kFull — the signal to run capacity scaling.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -36,24 +37,10 @@ class ThreadPool;
 
 namespace debar::index {
 
-/// Execution plan for the parallel bulk operations. With a null pool (or
-/// a single worker) the parallel entry points degrade to the serial scans
-/// — same code path, byte-identical results either way (that equivalence
-/// is what `ctest -L parallel` pins down).
-struct ParallelIoOptions {
-  /// Worker pool the operation may fan out onto; not owned.
-  ThreadPool* pool = nullptr;
-  /// Shard count for bulk_lookup_sharded / prefetch fan-out for
-  /// bulk_insert_pipelined.
-  std::size_t workers = 1;
-  /// Bounded look-ahead (in io_buckets spans) of the insert pipeline's
-  /// prefetch and write-back stages.
-  std::size_t pipeline_depth = 4;
-
-  [[nodiscard]] bool parallel() const noexcept {
-    return pool != nullptr && workers > 1;
-  }
-};
+/// Bounded look-ahead, in io_buckets spans, of bulk_insert's prefetch
+/// stage (and, in batches, of BackupServer::run_dedup2's SIL -> store
+/// hand-off).
+inline constexpr std::size_t kPipelineDepth = 4;
 
 struct DiskIndexParams {
   /// n: the index has 2^n buckets.
@@ -113,6 +100,34 @@ struct IndexStats {
   double full_fraction = 0.0;            // full_buckets / buckets (rho)
 };
 
+/// Geometry of span `span` of a sequential scan in `io_buckets`-bucket
+/// reads: it homes buckets [a, home_end) and is read (and, for SIU,
+/// written) as [lo, hi), one margin bucket wider on each side so every
+/// overflow neighbour is in memory.
+struct SpanGeom {
+  std::uint64_t a = 0;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  std::uint64_t home_end = 0;
+};
+[[nodiscard]] SpanGeom span_geom(std::uint64_t span, std::uint64_t io_buckets,
+                                 std::uint64_t bucket_count) noexcept;
+
+/// Number of `io_buckets` spans one scan of `bucket_count` buckets takes.
+[[nodiscard]] std::uint64_t span_count(std::uint64_t io_buckets,
+                                       std::uint64_t bucket_count) noexcept;
+
+/// Spans [first, end) of one SIL shard.
+struct ShardSpans {
+  std::uint64_t first = 0;
+  std::uint64_t end = 0;
+};
+
+/// The sharded SIL's plan: `spans` cut into min(workers, spans)
+/// contiguous shards of near-equal span counts (at least one shard).
+[[nodiscard]] std::vector<ShardSpans> shard_plan(std::uint64_t spans,
+                                                 std::size_t workers);
+
 class DiskIndex {
  public:
   /// Format `device` (resized and zeroed) as an empty index.
@@ -130,8 +145,9 @@ class DiskIndex {
 
   // ---- Random access (restore path; also the Venti-style baseline) ----
 
-  /// Point lookup: reads the home bucket, and — only if the home bucket is
-  /// full — its neighbours, since the entry may have overflowed.
+  /// Point lookup: reads the home bucket and, on a miss there, both
+  /// neighbours (whether or not the home bucket is full), since the entry
+  /// may have overflowed.
   [[nodiscard]] Result<ContainerId> lookup(const Fingerprint& fp) const;
 
   /// Point insert with adjacent-bucket overflow. kFull means the home
@@ -140,77 +156,46 @@ class DiskIndex {
   [[nodiscard]] Status insert(const Fingerprint& fp, ContainerId id);
 
   // ---- Sequential bulk operations (SIL / SIU, Section 5.2/5.4) ----
+  //
+  // Each pass has one engine. With a `pool` its stages fan out onto the
+  // workers; without one they run on the caller. Results are the same for
+  // every pool size (index image, RNG-driven overflow placement, kFull and
+  // `failed` reporting). The device runs unmetered and the disk model is
+  // then charged the one-pass span sequence, so modeled seconds are the
+  // same too. See DESIGN.md §5d.
 
-  /// Sequential index lookup over `fingerprints`, which MUST be sorted
-  /// ascending. Streams the whole index once in `io_buckets`-bucket reads;
-  /// `on_found(i, container)` fires for each fingerprint present, where i
-  /// indexes into `fingerprints`. Unsorted input -> kInvalidArgument.
+  /// Sequential index lookup (SIL) over `fingerprints`, which MUST be
+  /// sorted ascending. Streams the whole index once in `io_buckets`-bucket
+  /// reads; `on_found(i, container)` fires for each fingerprint present,
+  /// where i indexes into `fingerprints`. Unsorted input ->
+  /// kInvalidArgument. The span stream is cut into shard_plan() shards,
+  /// one per pool worker (PSIL mirrored inside one index part); a single
+  /// shard runs on the caller. `on_found` may fire from worker threads,
+  /// concurrently across shards but never for the same index twice.
   [[nodiscard]] Status bulk_lookup(
       std::span<const Fingerprint> fingerprints,
       const std::function<void(std::size_t, ContainerId)>& on_found,
-      std::uint64_t io_buckets = 1024) const;
+      std::uint64_t io_buckets = 1024, ThreadPool* pool = nullptr) const;
 
-  /// Sequential index update: insert `entries` (sorted ascending by
+  /// Sequential index update (SIU): insert `entries` (sorted ascending by
   /// fingerprint, fingerprints distinct and not already present) in one
   /// read-modify-write pass over the index. If some bucket neighbourhood
   /// fills up, returns kFull after inserting everything that fits;
   /// `inserted` (if non-null) receives the number of entries applied and
   /// `failed` (if non-null) the indices of entries that could not be
   /// placed — the caller re-applies them after capacity scaling.
+  ///
+  /// A pipeline: with a pool, spans are prefetched up to kPipelineDepth
+  /// ahead on its workers, while ONE merge stage (the caller) places
+  /// entries span by span in bucket order — the paper's tie-breaks and RNG
+  /// draw sequence — and writes each span back. The two margin buckets a
+  /// span shares with the next are carried to it in memory and written
+  /// with it.
   [[nodiscard]] Status bulk_insert(std::span<const IndexEntry> entries,
                                    std::uint64_t io_buckets = 1024,
                                    std::uint64_t* inserted = nullptr,
-                                   std::vector<std::size_t>* failed = nullptr);
-
-  // ---- Range-partitioned parallel scans (parallel dedup-2) ----
-  //
-  // Both operations produce results byte-identical to their serial
-  // counterparts for any worker count, and charge the disk model the
-  // exact serial access sequence (one streaming pass), so modeled seconds
-  // are thread-count-invariant. See DESIGN.md "Parallel dedup-2".
-
-  /// Sharded SIL: the bucket space is cut into `par.workers` contiguous
-  /// span-aligned ranges, each streamed by its own pool worker over its
-  /// slice of `fingerprints` (PSIL mirrored inside one index part).
-  /// `on_found` fires from worker threads, concurrently across shards but
-  /// never concurrently for the same fingerprint index; each shard covers
-  /// a disjoint contiguous slice of the input.
-  [[nodiscard]] Status bulk_lookup_sharded(
-      std::span<const Fingerprint> fingerprints,
-      const std::function<void(std::size_t, ContainerId)>& on_found,
-      std::uint64_t io_buckets, const ParallelIoOptions& par) const;
-
-  /// Pipelined SIU: prefetch workers read+parse upcoming bucket spans,
-  /// a single merge stage (the calling thread) applies the serial
-  /// read-modify-write logic in exact bucket order — preserving the
-  /// paper's deterministic tie-breaks and the RNG draw sequence — and a
-  /// write-back stage streams mutated spans out behind it. Cross-span
-  /// margin buckets are carried through the merge stage in memory, which
-  /// is exactly what the serial pass reconstructs by re-reading the
-  /// just-written margin.
-  [[nodiscard]] Status bulk_insert_pipelined(
-      std::span<const IndexEntry> entries, std::uint64_t io_buckets,
-      const ParallelIoOptions& par, std::uint64_t* inserted = nullptr,
-      std::vector<std::size_t>* failed = nullptr);
-
-  /// Sequential erase: remove the entries for `fingerprints` (sorted
-  /// ascending) in one read-modify-write pass. Absent fingerprints are
-  /// skipped. Used by the garbage collector when containers are
-  /// reclaimed. Note: erasing can strand a previously-overflowed
-  /// neighbour entry next to a non-full home bucket; lookups handle this
-  /// by always consulting neighbours.
-  [[nodiscard]] Status bulk_erase(std::span<const Fingerprint> fingerprints,
-                                  std::uint64_t io_buckets = 1024,
-                                  std::uint64_t* erased = nullptr);
-
-  /// Sequential re-mapping: overwrite the container IDs of entries whose
-  /// fingerprints are ALREADY present (sorted input, same contract as
-  /// bulk_insert). Entries whose fingerprint is absent are skipped and
-  /// counted in `missing`. One read-modify-write pass; used by the
-  /// defragmenter after it re-homes a version's chunks.
-  [[nodiscard]] Status bulk_update(std::span<const IndexEntry> entries,
-                                   std::uint64_t io_buckets = 1024,
-                                   std::uint64_t* missing = nullptr);
+                                   std::vector<std::size_t>* failed = nullptr,
+                                   ThreadPool* pool = nullptr);
 
   // ---- Scaling (Section 4.1) ----
 
@@ -271,8 +256,8 @@ class DiskIndex {
   void serialize_bucket(const Bucket& b, std::span<Byte> out) const;
 
   /// Match `fingerprints[qi..)` whose home bucket falls in [a, home_end)
-  /// against an in-memory span of buckets [lo, ...). Shared by the serial
-  /// scan and every shard worker — one implementation, one behavior.
+  /// against an in-memory span of buckets [lo, ...). Every SIL shard runs
+  /// it.
   [[nodiscard]] Status match_fingerprints_in_span(
       std::span<const Fingerprint> fingerprints,
       const std::vector<Bucket>& span_buckets, std::uint64_t lo,
@@ -282,18 +267,18 @@ class DiskIndex {
   /// Place `entries[qi..)` homed in [a, home_end) into the in-memory span
   /// [lo, ...): duplicate-neighbourhood check, random-order overflow, and
   /// kFull bookkeeping. Mutates rng_/entry_count_/needs_scaling_ — must
-  /// run on exactly one thread, in ascending span order (the pipelined
-  /// path funnels every span through its single merge stage for this).
+  /// run on exactly one thread, in ascending span order (bulk_insert's
+  /// single merge stage).
   [[nodiscard]] Status place_entries_in_span(
       std::span<const IndexEntry> entries, std::vector<Bucket>& span_buckets,
       std::uint64_t lo, std::uint64_t a, std::uint64_t home_end,
       std::size_t& qi, bool& overflow_failure, std::uint64_t* inserted,
       std::vector<std::size_t>* failed);
 
-  /// Charge the disk model the exact access sequence the serial scan
-  /// issues (read per span, plus the write-back for RMW passes). The
-  /// parallel paths run their device I/O unmetered and then replay this,
-  /// so modeled time is identical for every worker count.
+  /// Charge the disk model the one-pass scan's access sequence: a read of
+  /// [lo, hi) per span, plus its write-back for RMW passes. The bulk
+  /// operations run their device I/O unmetered and then replay this, so
+  /// modeled time is identical for every worker count.
   void replay_serial_scan_metering(sim::DiskModel* model,
                                    std::uint64_t io_buckets, bool rmw) const;
 
@@ -311,10 +296,11 @@ class DiskIndex {
   bool needs_scaling_ = false;
 };
 
-/// Full scan of an index, sorted by fingerprint — the canonical entry
-/// stream a staged copy is rebuilt from. Bucket order is not fingerprint
-/// order (overflow entries live in neighbour buckets), so migration and
-/// maintenance both sort before bulk-loading fresh devices.
+/// Full scan of an index (one bucket read at a time), sorted by
+/// fingerprint — the canonical entry stream a copy is rebuilt from by
+/// scaled(), split(), migration and maintenance. Bucket order is not
+/// fingerprint order (overflow entries live in neighbour buckets), hence
+/// the sort before bulk-loading fresh devices.
 [[nodiscard]] Result<std::vector<IndexEntry>> extract_sorted_entries(
     const DiskIndex& idx);
 

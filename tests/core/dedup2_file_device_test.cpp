@@ -61,8 +61,7 @@ class Deployment {
     cfg.chunk_store.io_buckets = 2;
     cfg.chunk_store.siu_threshold = 1;
     cfg.chunk_store.dedup2.threads = threads;
-    cfg.chunk_store.dedup2.pipeline_depth = 2;
-    cfg.log_device_factory = [this] { return make_device("log"); };
+      cfg.log_device_factory = [this] { return make_device("log"); };
     cfg.index_device_factory = [this] { return make_device("index"); };
     server_ = std::make_unique<BackupServer>(0, cfg, repository_.get(),
                                              &director_);

@@ -1,8 +1,9 @@
 // Differential equivalence for the parallel dedup-2 pipeline: the same
-// multi-generation workload run with threads=1 (today's serial code) and
-// threads=4 (sharded SIL, SIL/store overlap, pipelined SIU) must produce
-// the same bytes everywhere — index image, container set, restored data,
-// per-round counters, and modeled clocks.
+// multi-generation workload run with threads=1 (no pool: every stage on
+// the calling thread) and with more threads (sharded SIL, SIL/store
+// overlap, pipelined SIU) must produce the same bytes everywhere — index
+// image, container set, restored data, per-round counters, and modeled
+// clocks.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -33,7 +34,6 @@ BackupServerConfig config_with_threads(std::size_t threads) {
   cfg.chunk_store.io_buckets = 16;
   cfg.chunk_store.siu_threshold = 1 << 20;  // only forced SIU runs
   cfg.chunk_store.dedup2.threads = threads;
-  cfg.chunk_store.dedup2.pipeline_depth = 2;
   return cfg;
 }
 

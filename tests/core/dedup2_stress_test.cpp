@@ -16,8 +16,7 @@ namespace {
 
 Fingerprint fp(std::uint64_t i) { return Sha1::hash_counter(i); }
 
-BackupServerConfig stress_config(std::size_t threads,
-                                 std::size_t pipeline_depth) {
+BackupServerConfig stress_config(std::size_t threads) {
   BackupServerConfig cfg;
   cfg.index_params = {.prefix_bits = 7, .blocks_per_bucket = 1};
   cfg.filter_params = {.hash_bits = 8, .capacity = 50000};
@@ -25,7 +24,6 @@ BackupServerConfig stress_config(std::size_t threads,
   cfg.chunk_store.io_buckets = 8;
   cfg.chunk_store.siu_threshold = 1 << 20;
   cfg.chunk_store.dedup2.threads = threads;
-  cfg.chunk_store.dedup2.pipeline_depth = pipeline_depth;
   return cfg;
 }
 
@@ -41,7 +39,7 @@ TEST(Dedup2StressTest, DuplicateHeavyShardsUnderManyThreads) {
   for (const std::size_t threads : {2u, 4u, 8u}) {
     storage::ChunkRepository repo(2);
     Director director;
-    BackupServer server(0, stress_config(threads, 2), &repo, &director);
+    BackupServer server(0, stress_config(threads), &repo, &director);
     const std::uint64_t job = director.define_job("stress", "d");
 
     std::uint64_t next_fresh = 1000;

@@ -329,7 +329,7 @@ TEST_F(MaintenanceTest, ParallelDedup2PendingSiuIsBusy) {
   // has pending SIU entries, same as the serial path.
   BackupServerConfig cfg = make_config();
   cfg.chunk_store.siu_threshold = 1 << 30;
-  cfg.chunk_store.dedup2 = {.threads = 4, .pipeline_depth = 2};
+  cfg.chunk_store.dedup2 = {.threads = 4};
   BackupServer parallel(1, cfg, &repo_, &director_);
   const std::uint64_t job = director_.define_job("c", "d");
   FileStore& fs = parallel.file_store();

@@ -204,80 +204,5 @@ TEST(IndexRecoveryTest, RecoveredIndexMatchesLiveIndexAfterRealBackups) {
   }
 }
 
-TEST(BulkUpdateTest, OverwritesExistingMappings) {
-  auto idx = DiskIndex::create(std::make_unique<storage::MemBlockDevice>(),
-                               {.prefix_bits = 6, .blocks_per_bucket = 2});
-  ASSERT_TRUE(idx.ok());
-
-  std::vector<IndexEntry> entries;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    entries.push_back({Sha1::hash_counter(i), ContainerId{1}});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const IndexEntry& a, const IndexEntry& b) { return a.fp < b.fp; });
-  ASSERT_TRUE(idx.value().bulk_insert(std::span<const IndexEntry>(entries)).ok());
-
-  // Re-map the even half to container 2.
-  std::vector<IndexEntry> updates;
-  for (std::size_t i = 0; i < entries.size(); i += 2) {
-    updates.push_back({entries[i].fp, ContainerId{2}});
-  }
-  std::uint64_t missing = 0;
-  ASSERT_TRUE(idx.value()
-                  .bulk_update(std::span<const IndexEntry>(updates), 8,
-                               &missing)
-                  .ok());
-  EXPECT_EQ(missing, 0u);
-
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto r = idx.value().lookup(entries[i].fp);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value(), i % 2 == 0 ? ContainerId{2} : ContainerId{1});
-  }
-  EXPECT_EQ(idx.value().entry_count(), 200u);  // update adds nothing
-}
-
-TEST(BulkUpdateTest, CountsMissingFingerprints) {
-  auto idx = DiskIndex::create(std::make_unique<storage::MemBlockDevice>(),
-                               {.prefix_bits = 6, .blocks_per_bucket = 2});
-  ASSERT_TRUE(idx.ok());
-  std::vector<IndexEntry> updates = {{Sha1::hash_counter(1), ContainerId{9}}};
-  std::uint64_t missing = 0;
-  ASSERT_TRUE(idx.value()
-                  .bulk_update(std::span<const IndexEntry>(updates), 1024,
-                               &missing)
-                  .ok());
-  EXPECT_EQ(missing, 1u);
-  EXPECT_FALSE(idx.value().lookup(Sha1::hash_counter(1)).ok());
-}
-
-TEST(BulkUpdateTest, UpdatesOverflowedEntries) {
-  auto idx = DiskIndex::create(std::make_unique<storage::MemBlockDevice>(),
-                               {.prefix_bits = 2, .blocks_per_bucket = 1});
-  ASSERT_TRUE(idx.ok());
-  const std::uint64_t cap = idx.value().params().bucket_capacity();
-  std::vector<Fingerprint> bucket1;
-  for (std::uint64_t i = 0; bucket1.size() < cap + 4; ++i) {
-    const Fingerprint fp = Sha1::hash_counter(i);
-    if (idx.value().bucket_of(fp) == 1) bucket1.push_back(fp);
-  }
-  for (std::size_t i = 0; i < bucket1.size(); ++i) {
-    ASSERT_TRUE(idx.value().insert(bucket1[i], ContainerId{1}).ok());
-  }
-
-  std::sort(bucket1.begin(), bucket1.end());
-  std::vector<IndexEntry> updates;
-  for (const Fingerprint& fp : bucket1) updates.push_back({fp, ContainerId{7}});
-  std::uint64_t missing = 0;
-  ASSERT_TRUE(idx.value()
-                  .bulk_update(std::span<const IndexEntry>(updates), 3,
-                               &missing)
-                  .ok());
-  EXPECT_EQ(missing, 0u);
-  for (const Fingerprint& fp : bucket1) {
-    EXPECT_EQ(idx.value().lookup(fp).value(), ContainerId{7});
-  }
-}
-
 }  // namespace
 }  // namespace debar::index

@@ -114,7 +114,7 @@ TEST(CrashConsistency, ParallelSilSiuWindowsSurviveCrashes) {
   // hold for whichever interleaving the crash freezes.
   const std::vector<core::Dataset> generations = make_generations();
   CrashRig::Options opts;
-  opts.dedup2 = {.threads = 4, .pipeline_depth = 2};
+  opts.dedup2 = {.threads = 4};
 
   CrashRig profile(opts, generations);
   const RunOutcome clean = profile.run();
@@ -160,7 +160,7 @@ TEST(CrashConsistency, ParallelPipelineAbsorbsTransientFaults) {
   // drew the fault.
   const std::vector<core::Dataset> generations = make_generations();
   CrashRig::Options opts;
-  opts.dedup2 = {.threads = 4, .pipeline_depth = 2};
+  opts.dedup2 = {.threads = 4};
   CrashRig rig(opts, generations);
 
   storage::FaultConfig faults;

@@ -1,6 +1,6 @@
 // Stateful property test: the DiskIndex against an in-memory reference
-// model, over long randomized operation sequences including bulk ops,
-// capacity scaling and splitting.
+// model, over long randomized operation sequences including bulk ops, full
+// extraction, capacity scaling and splitting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -104,25 +104,17 @@ TEST_P(IndexModelTest, RandomOpsAgreeWithReference) {
         ASSERT_EQ(found[i] != 0, it != model.end()) << "step " << step;
         if (found[i]) ASSERT_EQ(got[i], it->second);
       }
-    } else if (op < 90 && !model.empty()) {
-      // Bulk erase of a random existing subset (the GC path).
-      std::vector<Fingerprint> victims;
-      for (int v = 0; v < 5 && !model.empty(); ++v) {
-        auto it = model.begin();
-        std::advance(it, static_cast<long>(rng.below(model.size())));
-        victims.push_back(it->first);
-        model.erase(it);
-      }
-      std::sort(victims.begin(), victims.end());
-      victims.erase(std::unique(victims.begin(), victims.end()),
-                    victims.end());
-      std::uint64_t erased = 0;
-      ASSERT_TRUE(idx.bulk_erase(std::span<const Fingerprint>(victims),
-                                 1 + rng.below(16), &erased)
-                      .ok());
-      ASSERT_EQ(erased, victims.size());
-      for (const Fingerprint& fp : victims) {
-        ASSERT_FALSE(idx.lookup(fp).ok());
+    } else if (op < 90) {
+      // Full extraction (what scaled(), split(), migration and
+      // maintenance rebuild from) is exactly the model, in order.
+      const Result<std::vector<IndexEntry>> all = extract_sorted_entries(idx);
+      ASSERT_TRUE(all.ok());
+      ASSERT_EQ(all.value().size(), model.size()) << "step " << step;
+      auto it = model.begin();
+      for (const IndexEntry& e : all.value()) {
+        ASSERT_EQ(e.fp, it->first) << "step " << step;
+        ASSERT_EQ(e.container, it->second) << "step " << step;
+        ++it;
       }
     } else if (op < 92 && idx.params().prefix_bits < 12) {
       // Capacity scaling at a random moment (bounded so the test's

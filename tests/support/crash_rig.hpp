@@ -61,7 +61,7 @@ class CrashRig {
     /// deterministic either way (same set of ops, any interleaving), so
     /// window spans recorded from a fault-free probe still locate crash
     /// points in the right phase.
-    core::Dedup2Options dedup2{.threads = 1, .pipeline_depth = 2};
+    core::Dedup2Options dedup2{.threads = 1};
   };
 
   /// Builds the deployment fault-free (the injector is armed later), so
