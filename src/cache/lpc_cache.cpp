@@ -30,7 +30,7 @@ std::optional<ByteSpan> LpcCache::find(const Fingerprint& fp) {
   return hit->container->chunk_at(hit->index);
 }
 
-void LpcCache::evict_lru() {
+std::shared_ptr<storage::Container> LpcCache::evict_lru() {
   assert(!lru_.empty());
   const std::uint64_t victim = lru_.back();
   lru_.pop_back();
@@ -44,19 +44,24 @@ void LpcCache::evict_lru() {
       fp_to_chunk_.erase(fit);
     }
   }
+  std::shared_ptr<storage::Container> evicted = std::move(it->second.container);
   by_id_.erase(it);
+  return evicted;
 }
 
-void LpcCache::insert(std::shared_ptr<storage::Container> container) {
+std::shared_ptr<storage::Container> LpcCache::insert(
+    std::shared_ptr<storage::Container> container) {
   assert(container != nullptr);
   const std::uint64_t id = container->id().value;
 
   if (const auto it = by_id_.find(id); it != by_id_.end()) {
     touch(it->second);
-    it->second.container = std::move(container);
-    return;
+    std::swap(it->second.container, container);
+    return container;
   }
-  while (by_id_.size() >= cap_) evict_lru();
+  // One in, at most one out: the cache never holds more than cap_.
+  std::shared_ptr<storage::Container> evicted;
+  if (by_id_.size() >= cap_) evicted = evict_lru();
 
   lru_.push_front(id);
   Slot& slot =
@@ -69,6 +74,7 @@ void LpcCache::insert(std::shared_ptr<storage::Container> container) {
         fp_to_chunk_.try_emplace(metas[i].fp, Location{&slot, i});
     if (!fresh && fit->second.slot != &slot) fit->second = {&slot, i};
   }
+  return evicted;
 }
 
 void LpcCache::clear() {

@@ -29,6 +29,14 @@ class LpcCache {
   /// `max_containers`: capacity in containers (memory budget / 8 MB).
   explicit LpcCache(std::size_t max_containers);
 
+  /// Not copyable: a copy's fingerprint map would point into the
+  /// source's slots. Moving keeps every slot where it is (node-based
+  /// containers keep their elements' addresses), so the map stays valid.
+  LpcCache(const LpcCache&) = delete;
+  LpcCache& operator=(const LpcCache&) = delete;
+  LpcCache(LpcCache&&) = default;
+  LpcCache& operator=(LpcCache&&) = default;
+
   /// Where a cached chunk is: the container holding it and its index
   /// there.
   struct Hit {
@@ -44,9 +52,12 @@ class LpcCache {
   /// lookup(), then a view of the chunk, which must be loaded.
   [[nodiscard]] std::optional<ByteSpan> find(const Fingerprint& fp);
 
-  /// Insert a container fetched on a miss; evicts LRU containers as
-  /// needed. Replaces any cached copy with the same ID.
-  void insert(std::shared_ptr<storage::Container> container);
+  /// Insert a container fetched on a miss; evicts the LRU container when
+  /// full. Replaces any cached copy with the same ID. Returns the
+  /// container it evicted or replaced, if any, so that a caller still
+  /// viewing it can keep it alive; dropping the result frees it.
+  std::shared_ptr<storage::Container> insert(
+      std::shared_ptr<storage::Container> container);
 
   /// Whether a chunk is cached. Unlike find() it counts neither a hit nor
   /// a miss and leaves recency alone, so probing never changes what the
@@ -87,7 +98,7 @@ class LpcCache {
   };
 
   void touch(Slot& slot);
-  void evict_lru();
+  [[nodiscard]] std::shared_ptr<storage::Container> evict_lru();
 
   std::size_t cap_;
   std::list<std::uint64_t> lru_;  // front = most recent

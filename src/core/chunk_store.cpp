@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <future>
 #include <unordered_set>
 
 #include "common/fmt.hpp"
@@ -95,15 +94,58 @@ namespace {
 /// than another device read does (DESIGN.md §5o has the measurements).
 constexpr std::uint64_t kRunGap = 8 * KiB;
 
+constexpr const char* kLacksChunk =
+    "index maps fingerprint to a container that lacks it";
+
 }  // namespace
 
-/// The container of the next LPC miss, located and charged ahead of need,
-/// and its device reads in flight on the dedup-2 pool.
-struct ChunkStore::ReadAhead {
-  Cursor at;                // the miss it serves
-  Status status;            // the error locating or charging it met
-  storage::ChunkRepository::PendingRead read;
-  std::future<Result<storage::Container>> fetched;  // valid until taken
+/// A restore's walk over its recipe: the cursor of the next chunk to look
+/// up, and what its misses need.
+struct ChunkStore::Walk {
+  Walk(std::span<const FileRecord> recipe, const Locate& find)
+      : files(recipe), locate(find) {
+    skip_empty_files();
+  }
+
+  [[nodiscard]] bool done() const {
+    return !error.ok() || at.file == files.size();
+  }
+  [[nodiscard]] const Fingerprint& fp() const {
+    return files[at.file].chunk_fps[at.chunk];
+  }
+  void next() {
+    ++at.pos;
+    ++at.chunk;
+    skip_empty_files();
+  }
+  /// Stop the walk at the chunk it just looked up.
+  [[nodiscard]] Step stop(Status s) {
+    error = std::move(s);
+    return {};
+  }
+  /// Built at the first miss that reads a device; not changed after, so
+  /// the pool reads it while the walk goes on.
+  void build_last_use() {
+    std::uint64_t pos = 0;
+    for (const FileRecord& r : files) {
+      for (const Fingerprint& c : r.chunk_fps) last_use[c] = pos++;
+    }
+  }
+
+  std::span<const FileRecord> files;
+  const Locate& locate;
+  Cursor at;
+  LastUse last_use;
+  Status error;  // what stopped the walk
+
+ private:
+  void skip_empty_files() {
+    while (at.file < files.size() &&
+           at.chunk == files[at.file].chunk_fps.size()) {
+      ++at.file;
+      at.chunk = 0;
+    }
+  }
 };
 
 Status ChunkStore::restore(std::span<const FileRecord> files,
@@ -119,58 +161,34 @@ Status ChunkStore::restore(std::span<const FileRecord> files,
                    file.meta.path, chunk.size(), file.chunk_sizes[i])};
   };
   // Read ahead only where a miss costs a device read and a pool can make
-  // it; otherwise every miss reads at the miss.
+  // it; otherwise the walk moves with the sink, one chunk at a time.
   ThreadPool* const pool =
       repository_->persistent() ? dedup2_pool().workers() : nullptr;
-  // Built at the first miss that reads a device; the read-ahead reads it.
-  LastUse last_use;
-  std::optional<ReadAhead> ahead;
-  // However the restore exits, the read in flight finishes before its
-  // frame, the repository or the caller's recipe can go away.
+  Walk walk(files, locate);
+  // However the restore exits, the reads in flight finish before their
+  // frames, the repository or the caller's recipe can go away.
   struct Settle {
-    std::optional<ReadAhead>& ahead;
-    ~Settle() {
-      if (ahead.has_value() && ahead->fetched.valid()) ahead->fetched.wait();
-    }
-  } settle_on_exit{ahead};
+    ChunkStore& store;
+    ~Settle() { store.settle_all(); }
+  } settle_on_exit{*this};
 
-  std::uint64_t pos = 0;
-  for (std::size_t f = 0; f < files.size(); ++f) {
-    const FileRecord& file = files[f];
+  for (const FileRecord& file : files) {
     if (Status s = sink.begin_file(file); !s.ok()) return s;
-    for (std::size_t i = 0; i < file.chunk_fps.size(); ++i, ++pos) {
-      const Fingerprint& fp = file.chunk_fps[i];
-      if (const std::optional<cache::LpcCache::Hit> hit = lpc_.lookup(fp)) {
-        storage::Container& c = *hit->container;
-        if (!c.loaded(hit->index)) {
-          if (Status s = complete(c); !s.ok()) return s;
-        }
-        if (Status s = deliver(file, i, c.chunk_at(hit->index)); !s.ok()) {
-          return s;
-        }
-        continue;
+    for (std::size_t i = 0; i < file.chunk_fps.size(); ++i) {
+      if (pool != nullptr) walk_ahead(walk, *pool);
+      const Step step = window_head_ < window_.size()
+                            ? window_[window_head_++]
+                            : walk_one(walk, pool);
+      if (step.container == nullptr) return walk.error;
+      if (step.miss) {
+        if (Status s = settle_miss(); !s.ok()) return s;
       }
-      assert((!ahead.has_value() || ahead->at == Cursor{f, i, pos}) &&
-             "between two misses every access hits");
-      if (last_use.empty() && repository_->persistent()) {
-        std::uint64_t at = 0;
-        for (const FileRecord& r : files) {
-          for (const Fingerprint& c : r.chunk_fps) last_use[c] = at++;
-        }
+      storage::Container& c = *step.container;
+      if (!c.loaded(step.index)) {
+        if (Status s = complete(c); !s.ok()) return s;
       }
-      Result<storage::Container> container =
-          fetch_miss(fp, pos, last_use, locate, ahead);
-      ahead.reset();
-      const Result<ByteSpan> chunk =
-          cache_container(fp, std::move(container), pool != nullptr);
-      if (!chunk.ok()) return chunk.status();
-      if (Status s = deliver(file, i, chunk.value()); !s.ok()) return s;
-      if (pool == nullptr) continue;
-      // Hits change recency, never membership: the first later chunk the
-      // LPC does not hold now is exactly the next miss.
-      if (const std::optional<Cursor> next = next_miss(files, {f, i, pos})) {
-        read_ahead(files[next->file].chunk_fps[next->chunk], *next, last_use,
-                   locate, *pool, ahead);
+      if (Status s = deliver(file, i, c.chunk_at(step.index)); !s.ok()) {
+        return s;
       }
     }
     if (Status s = sink.end_file(); !s.ok()) return s;
@@ -178,84 +196,127 @@ Status ChunkStore::restore(std::span<const FileRecord> files,
   return Status::Ok();
 }
 
-std::optional<ChunkStore::Cursor> ChunkStore::next_miss(
-    std::span<const FileRecord> files, Cursor from) const {
-  ++from.chunk;
-  ++from.pos;
-  for (; from.file < files.size(); ++from.file, from.chunk = 0) {
-    const std::vector<Fingerprint>& fps = files[from.file].chunk_fps;
-    for (; from.chunk < fps.size(); ++from.chunk, ++from.pos) {
-      if (!lpc_.holds(fps[from.chunk])) return from;
-    }
+void ChunkStore::walk_ahead(Walk& walk, ThreadPool& pool) {
+  if (window_head_ == window_.size()) {
+    window_.clear();
+    window_head_ = 0;
   }
-  return std::nullopt;
+  while (!walk.done()) {
+    // A miss needs a place among the window's misses and a spare frame;
+    // without them the walk stops at it. holds() finds it without
+    // counting it or touching recency.
+    if ((miss_count_ == kReadAheadDepth || spares_.empty()) &&
+        !lpc_.holds(walk.fp())) {
+      return;
+    }
+    window_.push_back(walk_one(walk, &pool));
+  }
 }
 
-void ChunkStore::read_ahead(const Fingerprint& fp, Cursor at,
-                            const LastUse& last_use, const Locate& find,
-                            ThreadPool& pool,
-                            std::optional<ReadAhead>& ahead) {
-  ReadAhead& next = ahead.emplace();
-  next.at = at;
-  // The locate and the repository charge a read at the miss would make,
-  // made now: only hits, which charge neither, come in between.
-  const Result<ContainerId> cid = find ? find(fp) : locate(fp);
-  if (!cid.ok()) {
-    next.status = cid.status();
-    return;
+ChunkStore::Step ChunkStore::walk_one(Walk& walk, ThreadPool* pool) {
+  using storage::Container;
+  const Fingerprint& fp = walk.fp();
+  const std::uint64_t pos = walk.at.pos;
+  walk.next();
+  if (const std::optional<cache::LpcCache::Hit> hit = lpc_.lookup(fp)) {
+    return {hit->container, hit->index, false};
   }
-  Result<storage::ChunkRepository::PendingRead> read =
+  // A miss: the locate and the repository charge read_chunk() makes.
+  const Result<ContainerId> cid = walk.locate ? walk.locate(fp) : locate(fp);
+  if (!cid.ok()) return walk.stop(cid.status());
+  const Result<storage::ChunkRepository::PendingRead> charged =
       repository_->charge_read(cid.value());
-  if (!read.ok()) {
-    next.status = read.status();
-    return;
-  }
-  next.read = std::move(read).value();
-  if (next.read.held != nullptr) return;  // in memory: nothing to fetch
-  // The spare frame was taken at the last miss; only a container of
-  // another capacity needs a frame of its own here.
-  if (spare_.size() != next.read.buffer_bytes()) {
-    spare_ = repository_->frame_pool().acquire(next.read.buffer_bytes());
-  }
-  // The recipe, and so `last_use`, stays put while the read runs.
-  next.fetched = pool.submit(
-      [this, &next, &last_use, buffer = std::move(spare_)]() mutable {
-        return read_needed(next.read, std::move(buffer), last_use,
-                           next.at.pos);
-      });
-}
+  if (!charged.ok()) return walk.stop(charged.status());
+  const storage::ChunkRepository::PendingRead& read = charged.value();
 
-Result<storage::Container> ChunkStore::fetch_miss(
-    const Fingerprint& fp, std::uint64_t pos, const LastUse& last_use,
-    const Locate& find, std::optional<ReadAhead>& ahead) {
-  storage::ChunkRepository::PendingRead read;
-  if (ahead.has_value()) {
-    if (!ahead->status.ok()) {
-      return Error{ahead->status.code(), ahead->status.message()};
+  bool ahead = false;  // payloads left for the pool to read
+  Result<Container> fetched = [&]() -> Result<Container> {
+    // Held in memory: a whole copy, as ChunkRepository::read() makes.
+    if (read.held != nullptr) {
+      return Container::deserialize(read.held->image());
     }
-    if (ahead->read.held == nullptr) return ahead->fetched.get();
-    read = std::move(ahead->read);
-  } else {
-    const Result<ContainerId> cid = find ? find(fp) : locate(fp);
-    if (!cid.ok()) return cid.error();
-    Result<storage::ChunkRepository::PendingRead> charged =
-        repository_->charge_read(cid.value());
-    if (!charged.ok()) return charged.error();
-    read = std::move(charged).value();
+    if (walk.last_use.empty()) walk.build_last_use();
+    if (pool == nullptr) {
+      Result<Container> c = read_head(
+          read, repository_->frame_pool().acquire(read.buffer_bytes()));
+      if (!c.ok()) return c;
+      if (Status s = read_needed(c.value(), walk.last_use, pos); !s.ok()) {
+        return Error{s.code(), s.message()};
+      }
+      return c;
+    }
+    // With no spare the window is empty: the sink is at this miss, where
+    // a per-chunk restore takes its frame, and tops the spares up.
+    if (spares_.empty()) top_up_spares(read.buffer_bytes());
+    storage::FrameBuffer frame = std::move(spares_.back());
+    spares_.pop_back();
+    // Only a container of another capacity needs a frame of its own.
+    if (frame.size() != read.buffer_bytes()) {
+      frame = repository_->frame_pool().acquire(read.buffer_bytes());
+    }
+    ahead = true;
+    return read_head(read, std::move(frame));
+  }();
+  if (!fetched.ok()) return walk.stop(fetched.status());
+  const std::optional<std::uint32_t> index = fetched.value().index_of(fp);
+  if (!index.has_value()) return walk.stop({Errc::kCorrupt, kLacksChunk});
+  auto container = std::make_shared<Container>(std::move(fetched).value());
+  // Prefetch the whole container (LPC). Without a pool nothing views
+  // what the insert evicts, and it goes at once.
+  std::shared_ptr<Container> evicted = lpc_.insert(container);
+  const Step step{container.get(), *index, pool != nullptr};
+  if (pool == nullptr) return step;
+
+  Miss& miss = misses_[(miss_head_ + miss_count_++) % kReadAheadDepth];
+  miss.evicted = std::move(evicted);
+  miss.container = std::move(container);
+  if (ahead) {
+    // The recipe, and so `last_use`, stays put while the reads run.
+    miss.payload = pool->submit(
+        [this, &c = *miss.container, &last_use = walk.last_use, pos] {
+          return read_needed(c, last_use, pos);
+        });
   }
-  // Held in memory: a whole copy, as ChunkRepository::read() makes.
-  if (read.held != nullptr) {
-    return storage::Container::deserialize(read.held->image());
-  }
-  return read_needed(
-      read, repository_->frame_pool().acquire(read.buffer_bytes()), last_use,
-      pos);
+  return step;
 }
 
-Result<storage::Container> ChunkStore::read_needed(
+Status ChunkStore::settle_miss() {
+  Miss& miss = misses_[miss_head_];
+  const Status s = miss.payload.valid() ? miss.payload.get() : Status::Ok();
+  // The spares are topped up here, where a per-chunk restore takes its
+  // frame, before the evicted container's frame goes back to the pool: the
+  // pool sees the traffic a per-chunk restore makes (DESIGN.md §5o).
+  if (s.ok()) {
+    top_up_spares(storage::Container::buffer_bytes(miss.container->capacity()));
+  }
+  miss = Miss{};
+  miss_head_ = (miss_head_ + 1) % kReadAheadDepth;
+  --miss_count_;
+  return s;
+}
+
+void ChunkStore::top_up_spares(std::size_t bytes) {
+  std::size_t in_flight = 0;
+  for (const Miss& m : misses_) in_flight += m.payload.valid() ? 1 : 0;
+  while (spares_.size() + in_flight < kReadAheadDepth) {
+    spares_.push_back(repository_->frame_pool().acquire(bytes));
+  }
+}
+
+void ChunkStore::settle_all() {
+  for (Miss& m : misses_) {
+    if (m.payload.valid()) m.payload.wait();
+  }
+  for (Miss& m : misses_) m = Miss{};
+  miss_head_ = 0;
+  miss_count_ = 0;
+  window_.clear();
+  window_head_ = 0;
+}
+
+Result<storage::Container> ChunkStore::read_head(
     const storage::ChunkRepository::PendingRead& read,
-    storage::FrameBuffer buffer, const LastUse& last_use,
-    std::uint64_t pos) const {
+    storage::FrameBuffer buffer) const {
   using storage::Container;
   const std::uint64_t head = Container::head_bytes(read.chunk_count);
   if (head > read.image_bytes) {
@@ -267,10 +328,13 @@ Result<storage::Container> ChunkStore::read_needed(
       !s.ok()) {
     return Error{s.code(), s.message()};
   }
-  Result<Container> parsed =
-      Container::parse_head(std::move(buffer), read.image_bytes, read.source);
-  if (!parsed.ok()) return parsed;
-  Container& c = parsed.value();
+  return Container::parse_head(std::move(buffer), read.image_bytes,
+                               read.source);
+}
+
+Status ChunkStore::read_needed(storage::Container& c, const LastUse& last_use,
+                               std::uint64_t pos) const {
+  const std::uint64_t head = storage::Container::head_bytes(c.chunk_count());
   const std::vector<storage::ChunkMeta>& metas = c.metadata();
   const std::size_t n = metas.size();
   const auto end_of = [&](std::size_t i) {
@@ -295,10 +359,10 @@ Result<storage::Container> ChunkStore::read_needed(
     }
     const std::uint64_t begin = head + metas[i].offset;
     const std::uint64_t end = head + end_of(last);
-    if (Status s = repository_->read_range(read.source, begin,
+    if (Status s = repository_->read_range(c.source(), begin,
                                            c.image_span(begin, end));
         !s.ok()) {
-      return Error{s.code(), s.message()};
+      return s;
     }
     // Each needed chunk of the run lies in it, and so does every chunk
     // between them in a payload packed chunk after chunk, as containers
@@ -310,30 +374,7 @@ Result<storage::Container> ChunkStore::read_needed(
     }
     i = last + 1;
   }
-  return parsed;
-}
-
-Result<ByteSpan> ChunkStore::cache_container(
-    const Fingerprint& fp, Result<storage::Container> container,
-    bool refill_spare) {
-  if (!container.ok()) return container.error();
-  auto shared =
-      std::make_shared<storage::Container>(std::move(container).value());
-  const std::optional<ByteSpan> chunk = shared->find(fp);
-  if (!chunk.has_value()) {
-    return Error{Errc::kCorrupt,
-                 "index maps fingerprint to a container that lacks it"};
-  }
-  // The next read-ahead's frame comes from the pool here, where a read at
-  // the miss takes its own, before the insert below returns an evicted
-  // container's frame: the pool sees the traffic a per-chunk restore
-  // makes (DESIGN.md §5o).
-  if (refill_spare && !spare_) {
-    spare_ = repository_->frame_pool().acquire(
-        storage::Container::buffer_bytes(shared->capacity()));
-  }
-  lpc_.insert(std::move(shared));  // prefetch the whole container (LPC)
-  return *chunk;
+  return Status::Ok();
 }
 
 Status ChunkStore::complete(storage::Container& c) const {
@@ -367,10 +408,13 @@ Result<std::vector<Byte>> ChunkStore::read_chunk(const Fingerprint& fp) {
   }
   const Result<ContainerId> cid = locate(fp);
   if (!cid.ok()) return cid.error();
-  const Result<ByteSpan> chunk = cache_container(
-      fp, containers_.read(cid.value()), /*refill_spare=*/false);
-  if (!chunk.ok()) return chunk.error();
-  return std::vector<Byte>(chunk.value().begin(), chunk.value().end());
+  Result<storage::Container> read = containers_.read(cid.value());
+  if (!read.ok()) return read.error();
+  auto container = std::make_shared<storage::Container>(std::move(read).value());
+  const std::optional<ByteSpan> chunk = container->find(fp);
+  if (!chunk.has_value()) return Error{Errc::kCorrupt, kLacksChunk};
+  lpc_.insert(std::move(container));  // prefetch the whole container (LPC)
+  return std::vector<Byte>(chunk->begin(), chunk->end());
 }
 
 }  // namespace debar::core

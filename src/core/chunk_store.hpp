@@ -7,10 +7,12 @@
 //   store_new_chunks() replay the chunk log, write genuinely new chunks
 //                      to containers in SISL order, and emit the
 //                      <fingerprint, containerID> entries;
-//   restore()          planned restore of a recipe through the LPC, with
-//                      the container of the next miss read ahead and
-//                      only the chunks the recipe still needs read, its
-//                      misses located here or by the caller's Locate;
+//   restore()          planned restore of a recipe through the LPC: a
+//                      walk over the recipe serves up to kReadAheadDepth
+//                      misses ahead of the sink, their containers read on
+//                      the dedup-2 pool, and only the chunks the recipe
+//                      still needs read; misses are located here or by
+//                      the caller's Locate;
 //   read_chunk()       one chunk through the LPC, its container read whole
 //                      on a miss (tests' per-chunk twin, verify jobs).
 //
@@ -19,8 +21,10 @@
 // PSIL/PSIU.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <span>
@@ -96,20 +100,29 @@ class ChunkStore : public IndexPart {
   /// Where a restore finds the container of a chunk the LPC misses.
   using Locate = std::function<Result<ContainerId>(const Fingerprint&)>;
 
+  /// How many LPC misses a restore may serve ahead of its sink (DESIGN.md
+  /// §5o). A constant, like index::kPipelineDepth.
+  static constexpr std::size_t kReadAheadDepth = 4;
+
   /// Planned restore (DESIGN.md §5o): pass every chunk of `files`, in
   /// recipe order, to `sink` as a span of the container the LPC caches.
   /// A chunk whose size is not the one its record keeps stops the restore
   /// with kCorrupt. Misses are located with `locate`, else with locate().
-  /// Locates, repository charges, LPC hits and misses and every modeled
-  /// clock come in the order a read_chunk() loop over the same recipe
-  /// makes them, and the first error stops the restore as it would stop
-  /// that loop. From a persistent repository a miss reads its container's
-  /// header and metadata, then only the payloads of chunks the recipe asks
-  /// for at or after the miss; the model is still charged for the whole
-  /// container. With a multi-thread dedup-2 pool, the container of the
-  /// next LPC miss is located and charged on the caller and read on the
-  /// pool while the hits before it are served; at most one such read is
-  /// in flight, and it has finished when this returns.
+  /// One walk over the recipe makes the LPC lookups, locates, repository
+  /// charges and inserts in the order a read_chunk() loop over the same
+  /// recipe makes them, so LPC hits and misses and every modeled clock
+  /// are that loop's; the sink trails the walk. From a persistent
+  /// repository a miss reads its container's header and metadata, then
+  /// only the payloads of chunks the recipe asks for at or after the
+  /// miss; the model is still charged for the whole container. With a
+  /// multi-thread dedup-2 pool the walk runs up to kReadAheadDepth misses
+  /// ahead of the sink: it reads and parses each miss's header on the
+  /// caller and the pool reads its payloads, which the sink awaits at that
+  /// miss. At most kReadAheadDepth such reads are in flight, and all have
+  /// finished when this returns. The first error stops the restore where
+  /// it would stop that loop, but the walk may by then have served up to
+  /// kReadAheadDepth later misses (and the hits between them): only a
+  /// failed restore's LPC counters and clocks can differ from the loop's.
   [[nodiscard]] Status restore(std::span<const FileRecord> files,
                                RestoreSink& sink, const Locate& locate = {});
 
@@ -129,6 +142,11 @@ class ChunkStore : public IndexPart {
     config_.cache_params.skip_bits = index().params().skip_bits;
   }
   [[nodiscard]] const cache::LpcCache& lpc() const noexcept { return lpc_; }
+  /// Frames held for the next restores' read-aheads: at most
+  /// kReadAheadDepth between restores.
+  [[nodiscard]] std::size_t spare_frames() const noexcept {
+    return spares_.size();
+  }
   [[nodiscard]] const ChunkStoreConfig& config() const noexcept {
     return config_;
   }
@@ -143,42 +161,56 @@ class ChunkStore : public IndexPart {
     std::size_t file = 0;
     std::size_t chunk = 0;
     std::uint64_t pos = 0;
-    friend bool operator==(const Cursor&, const Cursor&) = default;
   };
   /// Each fingerprint of a recipe and its last position there.
   using LastUse =
       std::unordered_map<Fingerprint, std::uint64_t, FingerprintHash>;
-  struct ReadAhead;
+  /// A restore's walk over its recipe (chunk_store.cpp).
+  struct Walk;
+  /// One chunk of the recipe as the walk looked it up: the container
+  /// that holds it and its index there, and whether the walk missed on
+  /// it. No container: the walk's error stops the restore at this chunk.
+  struct Step {
+    storage::Container* container = nullptr;
+    std::uint32_t index = 0;
+    bool miss = false;
+  };
+  /// A miss the walk served ahead of the sink: the container it cached,
+  /// the one its insert evicted or replaced (which steps before the miss
+  /// may still view), and the pool's reads of its payloads.
+  struct Miss {
+    std::shared_ptr<storage::Container> container;
+    std::shared_ptr<storage::Container> evicted;
+    std::future<Status> payload;  // valid while its reads are in flight
+  };
 
-  /// Where the next LPC miss after `from` is: the first later chunk the
-  /// LPC does not hold, or nullopt.
-  [[nodiscard]] std::optional<Cursor> next_miss(
-      std::span<const FileRecord> files, Cursor from) const;
-  /// Locate (by `find` if set) and charge the container of the miss at `at`,
-  /// and read what the recipe needs of it into the spare frame on `pool`.
-  void read_ahead(const Fingerprint& fp, Cursor at, const LastUse& last_use,
-                  const Locate& find, ThreadPool& pool,
-                  std::optional<ReadAhead>& ahead);
-  /// The container of the miss on `fp` at recipe position `pos`: the one
-  /// `ahead` read for it, or the error `ahead` met, or, with no
-  /// read-ahead, a locate and a read.
-  [[nodiscard]] Result<storage::Container> fetch_miss(
-      const Fingerprint& fp, std::uint64_t pos, const LastUse& last_use,
-      const Locate& find, std::optional<ReadAhead>& ahead);
-  /// Read the container `read` charged into `buffer`: its header and
-  /// metadata, then the payload runs of the chunks whose last use is at or
-  /// after `pos`. Touches nothing but the repository's devices, so it
-  /// runs on the pool.
-  [[nodiscard]] Result<storage::Container> read_needed(
+  /// Look up the chunk at the walk's cursor and step past it. A miss is
+  /// located, charged and cached here. With no pool its container is read
+  /// here; with `pool` its header is read and parsed here, its payloads
+  /// are read on the pool, and it joins the window's misses.
+  [[nodiscard]] Step walk_one(Walk& walk, ThreadPool* pool);
+  /// Walk on ahead of the sink, into the window, up to the next miss that
+  /// finds the window's misses at kReadAheadDepth or no spare frame.
+  void walk_ahead(Walk& walk, ThreadPool& pool);
+  /// The sink is at the window's oldest miss: await its payload reads,
+  /// top the spare frames up and release what its insert evicted.
+  [[nodiscard]] Status settle_miss();
+  /// Take frames of `bytes` from the pool until the spares and the reads
+  /// in flight number kReadAheadDepth.
+  void top_up_spares(std::size_t bytes);
+  /// Await every read in flight and empty the window.
+  void settle_all();
+  /// Read the header and metadata of the container `read` charged into
+  /// `buffer` and parse them; no chunk is loaded yet.
+  [[nodiscard]] Result<storage::Container> read_head(
       const storage::ChunkRepository::PendingRead& read,
-      storage::FrameBuffer buffer, const LastUse& last_use,
-      std::uint64_t pos) const;
-  /// Cache the container fetched for a miss on `fp` in the LPC and return
-  /// the chunk's span there. With `refill_spare`, a frame for the next
-  /// read-ahead is taken from the pool first.
-  [[nodiscard]] Result<ByteSpan> cache_container(
-      const Fingerprint& fp, Result<storage::Container> container,
-      bool refill_spare);
+      storage::FrameBuffer buffer) const;
+  /// Read into `c` the payload runs of its chunks whose last use is at or
+  /// after `pos`. Touches nothing but `c` and the repository's devices,
+  /// so it runs on the pool.
+  [[nodiscard]] Status read_needed(storage::Container& c,
+                                   const LastUse& last_use,
+                                   std::uint64_t pos) const;
   /// Read the chunks of a cached container that a restore's miss did not
   /// read, with one device read that charges nothing.
   [[nodiscard]] Status complete(storage::Container& c) const;
@@ -188,8 +220,16 @@ class ChunkStore : public IndexPart {
   storage::ContainerManager containers_;
   storage::ChunkLog* log_;
   cache::LpcCache lpc_;
-  /// The frame the next read-ahead reads into, held between restores.
-  storage::FrameBuffer spare_;
+  /// Frames the next read-aheads read into, held between restores.
+  std::vector<storage::FrameBuffer> spares_;
+  /// The steps the walk made that the sink has not reached, from
+  /// window_[window_head_]; kept between restores for its capacity.
+  std::vector<Step> window_;
+  std::size_t window_head_ = 0;
+  /// The window's misses, oldest at misses_[miss_head_].
+  std::array<Miss, kReadAheadDepth> misses_;
+  std::size_t miss_head_ = 0;
+  std::size_t miss_count_ = 0;
 };
 
 }  // namespace debar::core

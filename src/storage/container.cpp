@@ -75,8 +75,14 @@ bool Container::nearly_full() const noexcept {
 }
 
 std::optional<ByteSpan> Container::find(const Fingerprint& fp) const {
-  for (std::size_t i = 0; i < metadata_.size(); ++i) {
-    if (metadata_[i].fp == fp) return chunk_at(i);
+  const std::optional<std::uint32_t> i = index_of(fp);
+  if (!i.has_value()) return std::nullopt;
+  return chunk_at(*i);
+}
+
+std::optional<std::uint32_t> Container::index_of(const Fingerprint& fp) const {
+  for (std::uint32_t i = 0; i < metadata_.size(); ++i) {
+    if (metadata_[i].fp == fp) return i;
   }
   return std::nullopt;
 }

@@ -114,6 +114,10 @@ class Container {
   /// Payload of the first chunk with fingerprint `fp`, or nullopt. Linear
   /// scan of the metadata; restore hits go through the LPC's index.
   [[nodiscard]] std::optional<ByteSpan> find(const Fingerprint& fp) const;
+  /// Index of the first chunk with fingerprint `fp`, or nullopt. Reads
+  /// only the metadata, so it never races a read of the payload.
+  [[nodiscard]] std::optional<std::uint32_t> index_of(
+      const Fingerprint& fp) const;
 
   /// Payload of chunk `i` in arrival order. The chunk must be loaded.
   [[nodiscard]] ByteSpan chunk_at(std::size_t i) const {

@@ -1,18 +1,22 @@
 // Planned restore (DESIGN.md §5o) against a per-chunk read_chunk() loop.
 // Twin servers on file devices back up the same aged generations; one
-// restores through BackupEngine's RestoreSink path, which reads the next
-// LPC miss's container ahead on the dedup-2 pool and reads only the
-// chunks the recipe still needs, the other chunk by chunk, each miss
-// reading its container whole. Bytes, LPC counters, modeled clocks and
-// the index device reads must match exactly, the planned twin must read
-// fewer repository bytes, and the failures must match too: a read-ahead
-// whose device read fails, a later chunk that cannot be located, and a
-// sink that stops the restore while a read-ahead is in flight. A
-// container read in part completes, with one device read, on the first
-// hit on a chunk that was not read: after a failed completion, after its
-// container was removed, and from pooled frames full of stale bytes.
-// Written for TSan: the read-ahead reads the repository device on a pool
-// thread while the caller serves hits.
+// restores through BackupEngine's RestoreSink path, whose walk over the
+// recipe serves up to ChunkStore::kReadAheadDepth LPC misses ahead of the
+// sink, their payloads read on the dedup-2 pool, and reads only the
+// chunks the recipe still needs; the other restores chunk by chunk, each
+// miss reading its container whole. Bytes, LPC counters, modeled clocks
+// and the index device reads must match exactly, also with an LPC smaller
+// than the depth, where the walk evicts containers the sink still views;
+// the planned twin must read fewer repository bytes, and the failures
+// must match too: a read-ahead whose device read fails, a fault on a
+// later miss's container while earlier reads are in flight, a later
+// chunk that cannot be located, and a sink that stops the restore while
+// reads are in flight. Concurrent repository reads stay within the depth,
+// and so do the spare frames the store keeps. A container read in part
+// completes, with one device read, on the first hit on a chunk that was
+// not read: after a failed completion, after its container was removed,
+// and from pooled frames full of stale bytes. Written for TSan: the pool
+// reads the repository device while the caller walks and serves hits.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -57,8 +62,9 @@ struct ReadLog {
   std::thread::id caller = std::this_thread::get_id();
 };
 
-/// Records each read into a ReadLog; repository reads can be slowed down,
-/// and the reads inside this device are counted while they run.
+/// Records each read into a ReadLog; reads made off the driving thread
+/// can be slowed down, reads of one byte range can be made to fail, and
+/// the reads inside this device are counted while they run.
 class RecordingDevice final : public storage::BlockDevice {
  public:
   RecordingDevice(std::string name, std::unique_ptr<storage::BlockDevice> inner,
@@ -66,17 +72,39 @@ class RecordingDevice final : public storage::BlockDevice {
       : name_(std::move(name)), inner_(std::move(inner)), log_(log) {}
 
   Status read(std::uint64_t offset, std::span<Byte> out) override {
+    const bool off_caller = std::this_thread::get_id() != log_.caller;
     {
       std::lock_guard lock(log_.mutex);
       log_.reads.push_back({name_, offset, out.size()});
-      if (std::this_thread::get_id() != log_.caller) ++log_.off_caller;
+      if (off_caller) ++log_.off_caller;
     }
-    in_flight.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms.load()));
-    Status s = inner_->read(offset, out);
+    const int running = in_flight.fetch_add(1) + 1;
+    for (int peak = peak_in_flight.load();
+         running > peak && !peak_in_flight.compare_exchange_weak(peak, running);) {
+    }
+    Status s = Status::Ok();
+    if (offset >= fail_begin.load() && offset < fail_end.load()) {
+      faulted = true;
+      s = {Errc::kIoError, "read of the failing range"};
+    } else {
+      if (off_caller) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms.load()));
+      }
+      s = inner_->read(offset, out);
+      if (s.ok() && off_caller && faulted.load()) {
+        std::lock_guard lock(log_.mutex);
+        read_after_fault.insert(std::this_thread::get_id());
+      }
+    }
     in_flight.fetch_sub(1);
     if (s.ok()) account(offset, out.size());
     return s;
+  }
+
+  /// Fail every later read that starts in [begin, end).
+  void fail_reads_starting_in(std::uint64_t begin, std::uint64_t end) {
+    fail_begin = begin;
+    fail_end = end;
   }
   Status write(std::uint64_t offset, ByteSpan data) override {
     Status s = inner_->write(offset, data);
@@ -88,6 +116,14 @@ class RecordingDevice final : public storage::BlockDevice {
 
   std::atomic<int> delay_ms{0};
   std::atomic<int> in_flight{0};
+  std::atomic<int> peak_in_flight{0};
+  /// Whether a read of the failing range came, and the threads off the
+  /// driving one that finished a read after that: each was reading when
+  /// the fault came, or started after it.
+  std::atomic<bool> faulted{false};
+  std::set<std::thread::id> read_after_fault;  // guarded by the log's mutex
+  std::atomic<std::uint64_t> fail_begin{0};
+  std::atomic<std::uint64_t> fail_end{0};
 
  private:
   std::string name_;
@@ -151,11 +187,18 @@ std::pair<std::size_t, std::uint64_t> repo_reads(
   return out;
 }
 
+/// The LPC and the dedup-2 pool of a deployment.
+struct Shape {
+  std::size_t lpc_containers = kLpcContainers;
+  std::size_t threads = 2;
+};
+
 /// A file-backed server aged by `generations` backups with forced
 /// dedup-2. Its repository device fails reads once `injector` is armed.
 class Deployment {
  public:
-  Deployment(const fs::path& dir, const std::vector<Dataset>& generations)
+  Deployment(const fs::path& dir, const std::vector<Dataset>& generations,
+             Shape shape = {})
       : dir_(dir) {
     fs::create_directories(dir_);
     injector_ = std::make_shared<storage::FaultInjector>(
@@ -174,8 +217,8 @@ class Deployment {
     cfg.index_params = {.prefix_bits = 6, .blocks_per_bucket = 4};
     cfg.container_capacity = 256 * KiB;
     cfg.chunk_store.siu_threshold = 1;
-    cfg.chunk_store.lpc_containers = kLpcContainers;
-    cfg.chunk_store.dedup2.threads = 2;
+    cfg.chunk_store.lpc_containers = shape.lpc_containers;
+    cfg.chunk_store.dedup2.threads = shape.threads;
     cfg.log_device_factory = [this] { return mint("log"); };
     cfg.index_device_factory = [this] { return mint("index"); };
     server_ = std::make_unique<BackupServer>(0, cfg, repository_.get(),
@@ -223,12 +266,24 @@ class Deployment {
         if (Status s = sink.begin_file(file); !s.ok()) return s;
         for (std::size_t i = 0; i < file.chunk_fps.size(); ++i) {
           const std::uint64_t misses = server_->chunk_store().lpc().misses();
+          std::size_t reads = 0;
+          {
+            std::lock_guard lock(log_.mutex);
+            reads = log_.reads.size();
+          }
           Result<std::vector<Byte>> chunk =
               server_->chunk_store().read_chunk(file.chunk_fps[i]);
-          if (!chunk.ok()) return chunk.status();
           if (server_->chunk_store().lpc().misses() != misses) {
             miss_files.push_back(&file - files.data());
+            // A miss reads its container whole with one repository read.
+            std::lock_guard lock(log_.mutex);
+            for (std::size_t k = reads; k < log_.reads.size(); ++k) {
+              if (log_.reads[k].device == "repo") {
+                miss_reads.push_back(log_.reads[k]);
+              }
+            }
           }
+          if (!chunk.ok()) return chunk.status();
           if (nic) {
             if (chunk.value().size() != file.chunk_sizes[i]) {
               return {Errc::kCorrupt, "chunk size"};
@@ -254,6 +309,9 @@ class Deployment {
 
   /// The file index of every per-chunk miss, in order.
   std::vector<std::size_t> miss_files;
+  /// The repository read of every per-chunk miss, in order: the image of
+  /// its container.
+  std::vector<DeviceRead> miss_reads;
 
   /// What `run` (returning a Status) does: its code, what `sink` holds,
   /// the LPC hits and misses and the device reads it makes.
@@ -344,14 +402,18 @@ class PlannedRestoreTest : public ::testing::Test {
   std::vector<Dataset> generations_;
 };
 
-TEST_F(PlannedRestoreTest, MatchesPerChunkRestoreExactly) {
-  Deployment planned(base_ / "planned", generations_);
-  Deployment reference(base_ / "reference", generations_);
+/// Restore newest, oldest, the zero-chunk version and newest again on
+/// twins of `shape`, one through BackupEngine's planned path and one per
+/// chunk, and check that they agree exactly.
+void expect_twins_agree(const fs::path& base,
+                        const std::vector<Dataset>& generations, Shape shape) {
+  Deployment planned(base / "planned", generations, shape);
+  Deployment reference(base / "reference", generations, shape);
   const std::uint32_t newest = 5;
   const std::uint32_t zero = 6;
   std::size_t read_ahead = 0;
   // Newest first (cold LPC), then the oldest, the zero-chunk version and
-  // the newest again, so LPC contents and the spare frame carry over.
+  // the newest again, so LPC contents and the spare frames carry over.
   for (const std::uint32_t version : {newest, 1U, zero, newest}) {
     CollectingSink got_sink;
     CollectingSink want_sink;
@@ -362,7 +424,7 @@ TEST_F(PlannedRestoreTest, MatchesPerChunkRestoreExactly) {
     ASSERT_EQ(got.code, Errc::kOk);
     ASSERT_EQ(want.code, Errc::kOk);
 
-    const Dataset& data = generations_[version - 1];
+    const Dataset& data = generations[version - 1];
     ASSERT_EQ(got.files.size(), data.files.size());
     for (std::size_t f = 0; f < data.files.size(); ++f) {
       EXPECT_EQ(got.files[f].first, data.files[f].path);
@@ -395,7 +457,7 @@ TEST_F(PlannedRestoreTest, MatchesPerChunkRestoreExactly) {
     if (version == newest) {
       // The version spans more than the LPC, and some miss comes in a
       // later file than the one before it.
-      EXPECT_GT(want.misses, kLpcContainers);
+      EXPECT_GT(want.misses, shape.lpc_containers);
       bool crosses = false;
       for (std::size_t k = 1; k < reference.miss_files.size(); ++k) {
         crosses |= reference.miss_files[k] != reference.miss_files[k - 1];
@@ -411,11 +473,29 @@ TEST_F(PlannedRestoreTest, MatchesPerChunkRestoreExactly) {
   EXPECT_GT(read_ahead, 0U);
 }
 
+TEST_F(PlannedRestoreTest, MatchesPerChunkRestoreExactly) {
+  expect_twins_agree(base_, generations_, {});
+}
+
+TEST_F(PlannedRestoreTest, MatchesPerChunkRestoreWithAnLpcBelowTheDepth) {
+  // The walk's inserts evict containers that the sink, up to
+  // kReadAheadDepth misses behind, still views.
+  for (const std::size_t lpc : {1U, 2U}) {
+    static_assert(ChunkStore::kReadAheadDepth > 2);
+    SCOPED_TRACE(lpc);
+    expect_twins_agree(base_ / std::to_string(lpc), generations_,
+                       {.lpc_containers = lpc});
+  }
+}
+
 TEST_F(PlannedRestoreTest, FailedReadAheadFailsAsThePerChunkReadDoes) {
   Deployment planned(base_ / "planned", generations_);
   Deployment reference(base_ / "reference", generations_);
   // Once the first chunk (the first miss) is in, every repository read
-  // fails: the next miss's container read, issued ahead on the pool.
+  // fails: the next miss's container read. A fresh store has no spare
+  // frame, so it serves its first miss at the sink and walks ahead only
+  // after that chunk is in; the first miss's payloads were read on the
+  // pool, and the walk's read of the second miss's header fails.
   const auto arm = [](Deployment& d) {
     return [&d](std::size_t chunks) {
       if (chunks == 1) d.injector().set_config({.read_error_rate = 1.0});
@@ -437,6 +517,80 @@ TEST_F(PlannedRestoreTest, FailedReadAheadFailsAsThePerChunkReadDoes) {
   EXPECT_EQ(got.misses, want.misses);
   EXPECT_TRUE(index_reads(got.reads) == index_reads(want.reads));
   EXPECT_GT(got.reads_off_caller, 0U);
+}
+
+TEST_F(PlannedRestoreTest, FaultOnTheThirdMissWhileTwoReadsAreInFlight) {
+  // Every deployment first restores the oldest version, so its store holds
+  // its spare frames and the newest version's restore walks ahead from its
+  // first chunk. The probe's per-chunk restore of the newest version finds
+  // where the third miss's container lies.
+  const Shape shape{.threads = 4};
+  Deployment probe(base_ / "probe", generations_, shape);
+  Deployment reference(base_ / "reference", generations_, shape);
+  Deployment head(base_ / "head", generations_, shape);
+  Deployment payload(base_ / "payload", generations_, shape);
+  for (Deployment* d : {&probe, &reference, &head, &payload}) {
+    CollectingSink sink;
+    ASSERT_EQ(d->planned(1, sink).code, Errc::kOk);
+    ASSERT_EQ(d->server().chunk_store().spare_frames(),
+              ChunkStore::kReadAheadDepth);
+  }
+  const std::vector<FileRecord> files = reference.files_of(5);
+  CollectingSink probe_sink;
+  ASSERT_EQ(probe.per_chunk(files, probe_sink).code, Errc::kOk);
+  ASSERT_GT(probe.miss_reads.size(), 3U);
+  const DeviceRead third = probe.miss_reads[2];
+
+  // The reference fails its third miss's whole read.
+  reference.repo_device().fail_reads_starting_in(third.offset,
+                                                 third.offset + third.bytes);
+  reference.miss_files.clear();
+  CollectingSink want_sink;
+  const Outcome want = reference.per_chunk(files, want_sink);
+  ASSERT_EQ(want.code, Errc::kIoError);
+  EXPECT_EQ(reference.miss_files.size(), 3U);
+  EXPECT_GT(want.chunks, 0U);
+
+  // One planned twin fails the walk's read of that container's header,
+  // the other only the pool's reads of its payloads; the pool is still
+  // reading the first two misses' payloads, slowly, either way.
+  head.repo_device().fail_reads_starting_in(third.offset,
+                                            third.offset + third.bytes);
+  payload.repo_device().fail_reads_starting_in(third.offset + 1,
+                                               third.offset + third.bytes);
+  for (Deployment* d : {&head, &payload}) {
+    SCOPED_TRACE(d == &head ? "header" : "payload");
+    d->repo_device().delay_ms = 50;
+    CollectingSink got_sink;
+    const Outcome got = d->planned(5, got_sink);
+    EXPECT_EQ(got.code, want.code);
+    EXPECT_EQ(got.chunks, want.chunks);
+    EXPECT_TRUE(got.files == want.files);
+    EXPECT_TRUE(d->repo_device().faulted.load());
+    EXPECT_GE(d->repo_device().read_after_fault.size(), 2U);
+    EXPECT_EQ(d->repo_device().in_flight.load(), 0);
+  }
+}
+
+TEST_F(PlannedRestoreTest, ReadsInFlightStayWithinTheDepth) {
+  // A pool wider than the depth: only the walk bounds the reads.
+  Deployment d(base_ / "d", generations_, {.threads = 8});
+  d.repo_device().delay_ms = 2;
+  // The cold newest version: every read is a miss's, none a completion's.
+  CollectingSink sink;
+  ASSERT_EQ(d.planned(5, sink).code, Errc::kOk);
+  const int peak = d.repo_device().peak_in_flight.load();
+  EXPECT_GT(peak, 1);
+  EXPECT_LE(peak, static_cast<int>(ChunkStore::kReadAheadDepth));
+  EXPECT_LE(d.server().chunk_store().spare_frames(),
+            ChunkStore::kReadAheadDepth);
+  // The store keeps its spares between restores, and never more.
+  for (const std::uint32_t version : {1U, 6U, 5U}) {
+    CollectingSink again;
+    ASSERT_EQ(d.planned(version, again).code, Errc::kOk);
+    EXPECT_LE(d.server().chunk_store().spare_frames(),
+              ChunkStore::kReadAheadDepth);
+  }
 }
 
 TEST_F(PlannedRestoreTest, UnlocatableChunkFailsWhereThePerChunkLoopDoes) {
@@ -473,7 +627,7 @@ TEST_F(PlannedRestoreTest, ReadInFlightIsAwaitedWhenTheSinkStops) {
   std::optional<Deployment> planned;
   planned.emplace(base_ / "planned", generations_);
   // The sink refuses the chunk after the first miss, while the next
-  // miss's container is still being read (slowly) on the pool.
+  // misses' payloads are still being read (slowly) on the pool.
   planned->repo_device().delay_ms = 50;
   CollectingSink sink;
   sink.fail_at = 1;
